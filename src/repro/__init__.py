@@ -33,8 +33,6 @@ sharded cluster behind the scatter-gather router), the front door is
         client.estimate("SSPlays", "//PLAY/ACT/$SCENE")   # EstimateResult
 """
 
-import warnings
-
 from repro.build.builder import SynopsisBuilder, build_synopsis
 from repro.core.options import EstimateOptions, ExecuteOptions, ExplainOptions
 from repro.core.result import EstimateResult
@@ -50,11 +48,10 @@ from repro.errors import (
 from repro.xmltree.parser import parse_xml
 from repro.xpath.parser import parse_query
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
-#: The supported public surface.  Anything imported from ``repro`` that is
-#: not listed here still works for now but raises a DeprecationWarning —
-#: import it from its home submodule instead.
+#: The supported public surface.  Everything else lives in its home
+#: submodule (e.g. ``repro.xmltree.document.XmlDocument``).
 __all__ = [
     "EstimateOptions",
     "EstimateResult",
@@ -85,18 +82,6 @@ _LAZY = {
     "ExecutionResult": ("repro.plan.ir", "ExecutionResult"),
 }
 
-#: Legacy top-level names (pre-1.1 surface) -> (module, attribute).  Kept
-#: importable through ``__getattr__`` so existing code keeps running, but
-#: each emits a DeprecationWarning on first use per process.
-_DEPRECATED = {
-    "XmlDocument": ("repro.xmltree.document", "XmlDocument"),
-    "XmlNode": ("repro.xmltree.node", "XmlNode"),
-    "Evaluator": ("repro.xpath.evaluator", "Evaluator"),
-    "Query": ("repro.xpath.ast", "Query"),
-    "explain": ("repro.core.explain", "explain"),
-    "EstimateReport": ("repro.core.explain", "EstimateReport"),
-}
-
 
 def connect(target=None, **kwargs):
     """Open a cluster-aware estimation client (lazy wrapper around
@@ -108,31 +93,16 @@ def connect(target=None, **kwargs):
 
 
 def __getattr__(name):
-    """PEP 562 shim: lazy public names, and legacy names with a one-time
-    deprecation warning."""
+    """PEP 562: import the lazy public names on first use."""
     lazy = _LAZY.get(name)
-    if lazy is not None:
-        import importlib
-
-        value = getattr(importlib.import_module(lazy[0]), lazy[1])
-        globals()[name] = value
-        return value
-    target = _DEPRECATED.get(name)
-    if target is None:
+    if lazy is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    module_name, attribute = target
-    warnings.warn(
-        "importing %r from 'repro' is deprecated; import it from %r instead"
-        % (name, module_name),
-        DeprecationWarning,
-        stacklevel=2,
-    )
     import importlib
 
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value  # cache: warn once per process, not per access
+    value = getattr(importlib.import_module(lazy[0]), lazy[1])
+    globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED) | set(globals()))
+    return sorted(set(__all__) | set(globals()))

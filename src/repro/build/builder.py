@@ -48,7 +48,6 @@ import os
 import time
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro._compat import positional_shim
 from repro.build.chunker import DEFAULT_SHARD_BYTES, split_text
 from repro.build.merge import (
     BodyTables,
@@ -156,7 +155,7 @@ class SynopsisBuilder:
 
     def __init__(
         self,
-        *args,
+        *,
         p_variance: float = 0.0,
         o_variance: float = 0.0,
         use_histograms: bool = True,
@@ -168,19 +167,6 @@ class SynopsisBuilder:
         lenient: bool = False,
         tracer=NULL_TRACER,
     ):
-        if args:
-            (p_variance, o_variance, use_histograms, build_binary_tree,
-             workers, shard_bytes, shard_timeout_s, worker_retries,
-             lenient) = positional_shim(
-                "SynopsisBuilder",
-                args,
-                ("p_variance", "o_variance", "use_histograms",
-                 "build_binary_tree", "workers", "shard_bytes",
-                 "shard_timeout_s", "worker_retries", "lenient"),
-                (p_variance, o_variance, use_histograms, build_binary_tree,
-                 workers, shard_bytes, shard_timeout_s, worker_retries,
-                 lenient),
-            )
         if workers < 1:
             raise BuildError("workers must be >= 1, got %r" % (workers,))
         if shard_bytes < 1:
@@ -470,7 +456,7 @@ class SynopsisBuilder:
 
 def build_synopsis(
     source: SourceType,
-    *args,
+    *,
     p_variance: float = 0.0,
     o_variance: float = 0.0,
     use_histograms: bool = True,
@@ -499,19 +485,6 @@ def build_synopsis(
         system = repro.build_synopsis("catalog.xml", workers=4)
         system.estimate("//item/$name")
     """
-    if args:
-        (p_variance, o_variance, use_histograms, build_binary_tree,
-         workers, shard_bytes, shard_timeout_s, worker_retries,
-         lenient, name) = positional_shim(
-            "build_synopsis",
-            args,
-            ("p_variance", "o_variance", "use_histograms",
-             "build_binary_tree", "workers", "shard_bytes",
-             "shard_timeout_s", "worker_retries", "lenient", "name"),
-            (p_variance, o_variance, use_histograms, build_binary_tree,
-             workers, shard_bytes, shard_timeout_s, worker_retries,
-             lenient, name),
-        )
     builder = SynopsisBuilder(
         p_variance=p_variance,
         o_variance=o_variance,

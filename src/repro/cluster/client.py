@@ -10,9 +10,8 @@ One entry point covers every deployment shape the repo can serve:
 
 Compared with the per-endpoint :class:`~repro.service.client
 .EndpointClient` it subsumes, :class:`Client` returns structured
-:class:`~repro.core.result.EstimateResult` objects (reading the primary
-versioned ``result`` wire object, so it works against servers with the
-legacy compat mirror switched off), knows about delta uploads, and can
+:class:`~repro.core.result.EstimateResult` objects (decoded from the
+versioned ``result`` wire object), knows about delta uploads, and can
 report cluster topology when the seed is a router::
 
     import repro
@@ -148,7 +147,7 @@ class Client:
         (float-coercible, so ``float(client.estimate(...))`` is the old
         bare number)."""
         reply = self._call("estimate_detail", synopsis, query, trace=trace)
-        return self._result_of(reply)
+        return EstimateResult.from_dict(reply["result"])
 
     def estimate_batch(
         self,
@@ -183,7 +182,7 @@ class Client:
                     )
                 results.append(None)
                 continue
-            results.append(self._result_of(item))
+            results.append(EstimateResult.from_dict(item["result"]))
         return results
 
     def explain(self, synopsis: str, query: str) -> Dict[str, Any]:
@@ -198,21 +197,6 @@ class Client:
         structured ``result``).  Statistics-only synopses surface as
         :class:`ServiceError` kind ``execute_unsupported``."""
         return self._call("execute", synopsis, query)
-
-    @staticmethod
-    def _result_of(item: Dict[str, Any]) -> EstimateResult:
-        wire = item.get("result")
-        if isinstance(wire, dict):
-            return EstimateResult.from_dict(wire)
-        # A pre-result-era server (format_version 0 responses): synthesize
-        # from the flat fields so the client still works against it.
-        return EstimateResult(
-            value=float(item["estimate"]),
-            query=str(item.get("query", "")),
-            route=str(item.get("route", "")),
-            cached=item.get("cached"),
-            kernel=item.get("kernel"),
-        )
 
     # ------------------------------------------------------------------
     # Maintenance + observability passthrough

@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from dataclasses import replace as _options_replace
 
-from repro._compat import positional_shim, warn_deprecated
 from repro.core.axis_rewrite import rewrite_scoped_order_query, scoped_order_edges
 from repro.core.options import EstimateOptions, ExecuteOptions, ExplainOptions
 from repro.core.noorder import estimate_no_order
@@ -141,7 +140,7 @@ class EstimationSystem:
     def build(
         cls,
         document: Union[XmlDocument, str, "os.PathLike[str]"],
-        *args,
+        *,
         p_variance: float = 0.0,
         o_variance: float = 0.0,
         use_histograms: bool = True,
@@ -151,8 +150,7 @@ class EstimationSystem:
     ) -> "EstimationSystem":
         """Run the full summary-construction pipeline on ``document``.
 
-        All tuning parameters are keyword-only; passing them positionally
-        still works but is deprecated and will be removed.
+        All tuning parameters are keyword-only.
 
         ``document`` may also be XML text or a filesystem path; those
         sources stream through :class:`repro.build.SynopsisBuilder`
@@ -166,16 +164,6 @@ class EstimationSystem:
         (pid, depth), removing the recursion ambiguity entirely — the
         Ablation D extension of DESIGN.md §5.
         """
-        if args:
-            (p_variance, o_variance, use_histograms, build_binary_tree,
-             depth_refined, workers) = positional_shim(
-                "EstimationSystem.build",
-                args,
-                ("p_variance", "o_variance", "use_histograms",
-                 "build_binary_tree", "depth_refined", "workers"),
-                (p_variance, o_variance, use_histograms, build_binary_tree,
-                 depth_refined, workers),
-            )
         if depth_refined and use_histograms:
             raise ValueError(
                 "depth_refined statistics are exact-mode only "
@@ -447,7 +435,7 @@ class EstimationSystem:
     def estimate(
         self,
         query: Union[str, Query, List[Union[str, Query]], Tuple],
-        *args,
+        *,
         options: Optional[EstimateOptions] = None,
         fixpoint: Optional[bool] = None,
         depth_consistent: Optional[bool] = None,
@@ -468,16 +456,8 @@ class EstimationSystem:
         ``fixpoint=False`` runs a single path-join pruning pass;
         ``depth_consistent=False`` uses the literal pairwise containment
         test (ablation switches, see DESIGN.md §5; both may be given
-        directly or on ``options``).  Passing them positionally is
-        deprecated.
+        directly or on ``options``).
         """
-        if args:
-            fixpoint, depth_consistent = positional_shim(
-                "EstimationSystem.estimate",
-                args,
-                ("fixpoint", "depth_consistent"),
-                (fixpoint, depth_consistent),
-            )
         opts = options if options is not None else EstimateOptions()
         if fixpoint is not None or depth_consistent is not None:
             opts = _options_replace(
@@ -598,56 +578,6 @@ class EstimationSystem:
             values.append(value)
         return values
 
-    def query(
-        self,
-        query: Union[str, Query],
-        *,
-        trace: bool = False,
-        fixpoint: bool = True,
-        depth_consistent: bool = True,
-    ) -> EstimateResult:
-        """Deprecated alias of :meth:`estimate` with ``detail=True``.
-
-        .. deprecated:: 1.3
-           Use ``estimate(q, options=EstimateOptions(detail=True,
-           trace=...))`` — one verb, one options object.
-        """
-        warn_deprecated(
-            "EstimationSystem.query()",
-            "estimate(query, options=EstimateOptions(detail=True))",
-        )
-        return self._estimate_detail(
-            query,
-            EstimateOptions(
-                fixpoint=fixpoint,
-                depth_consistent=depth_consistent,
-                detail=True,
-                trace=trace,
-            ),
-        )
-
-    def estimate_routed(
-        self,
-        parsed: Query,
-        route: str,
-        fixpoint: bool = True,
-        depth_consistent: bool = True,
-        tracer=NULL_TRACER,
-    ) -> float:
-        """Deprecated public alias of the internal routed estimation.
-
-        .. deprecated:: 1.3
-           Route precomputation is a service-internal optimization;
-           external callers should use :meth:`estimate`.
-        """
-        warn_deprecated(
-            "EstimationSystem.estimate_routed()", "estimate(query)"
-        )
-        return self._estimate_routed(
-            parsed, route,
-            fixpoint=fixpoint, depth_consistent=depth_consistent, tracer=tracer,
-        )
-
     def _estimate_routed(
         self,
         parsed: Query,
@@ -723,17 +653,6 @@ class EstimationSystem:
             fixpoint=fixpoint, depth_consistent=depth_consistent,
             tracer=tracer, kernel=kernel,
         )
-
-    def estimate_batch(self, queries: Iterable[Union[str, Query]]) -> List[float]:
-        """Deprecated alias of :meth:`estimate` over a list.
-
-        .. deprecated:: 1.3
-           ``estimate`` is polymorphic: pass the list directly.
-        """
-        warn_deprecated(
-            "EstimationSystem.estimate_batch()", "estimate([query, ...])"
-        )
-        return self._estimate_many(queries, EstimateOptions())
 
     def join(
         self,

@@ -45,7 +45,7 @@ from repro.reliability.shedding import (
     TieredAdmissionGate,
     default_tiers,
 )
-from repro.service.client import EndpointClient, ServiceClient, ServiceError
+from repro.service.client import EndpointClient, ServiceError
 from repro.service.config import DEFAULT_PORT, ClientConfig, ServerConfig
 from repro.service.metrics import LatencySummary, ServiceMetrics
 from repro.service.plancache import CompiledPlan, PlanCache, compile_plan
@@ -63,12 +63,17 @@ def serve(
     *,
     config: Optional[ServerConfig] = None,
     registry: Optional[SynopsisRegistry] = None,
+    metrics: Optional[ServiceMetrics] = None,
+    reuse_port: bool = False,
 ) -> ServiceServer:
     """Assemble a fully wired, **not yet started** service server.
 
     One :class:`ServerConfig` drives registry, plan cache, admission
-    gate, slow-query log and trace sampling; call ``.start()`` (tests)
-    or ``.serve_forever()`` (daemons) on the returned server.
+    gate, brownout, slow-query log, trace sampling and the connection
+    read deadline; call ``.start()`` (tests) or ``.serve_forever()``
+    (daemons) on the returned server.  This is the one assembly behind
+    ``repro serve`` and every pre-fork worker, which passes its
+    slab-mirroring ``metrics`` and ``reuse_port=True``.
     """
     cfg = config if config is not None else ServerConfig()
     if registry is None:
@@ -103,6 +108,7 @@ def serve(
     service = EstimationService(
         registry,
         plan_cache=PlanCache(cfg.plan_cache_capacity),
+        metrics=metrics,
         gate=gate,
         semcache_capacity=cfg.semcache_capacity,
         semcache_ttl_s=cfg.semcache_ttl_s,
@@ -113,13 +119,13 @@ def serve(
             top_k=cfg.slowlog_top_k,
         ),
         trace_sample_rate=cfg.trace_sample_rate,
-        compat_fields=cfg.compat_fields,
         brownout=brownout,
     )
     return ServiceServer(
         service,
         host=cfg.host,
         port=cfg.port,
+        reuse_port=reuse_port,
         read_deadline_s=cfg.read_deadline_s,
     )
 
@@ -157,7 +163,6 @@ __all__ = [
     "LiveSynopsis",
     "PlanCache",
     "ServerConfig",
-    "ServiceClient",
     "ServiceError",
     "ServiceMetrics",
     "ServiceServer",

@@ -3,8 +3,6 @@
 :class:`EndpointClient` talks to a single ``host:port`` — it is the
 transport brick that :func:`repro.connect` (the cluster-aware
 :class:`repro.cluster.Client`) and the scatter-gather router build on.
-:class:`ServiceClient` is its deprecated pre-cluster name, kept as a
-warning shim.
 
 By default the client keeps one HTTP/1.1 connection alive and reuses it
 (reconnecting transparently if the server dropped it), which is what a
@@ -46,10 +44,8 @@ import http.client
 import json
 import socket
 import time
-import warnings
 from typing import Any, Dict, List, Optional
 
-from repro._compat import positional_shim
 from repro.core.result import EstimateResult
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.policy import Deadline, RetryPolicy
@@ -99,7 +95,7 @@ class EndpointClient:
     def __init__(
         self,
         host: Optional[str] = None,
-        *args,
+        *,
         port: Optional[int] = None,
         timeout: Optional[float] = None,
         keep_alive: Optional[bool] = None,
@@ -109,18 +105,6 @@ class EndpointClient:
         sleep=time.sleep,
         config: Optional[ClientConfig] = None,
     ):
-        if args:
-            # Pre-redesign positional call sites (host, port, timeout, ...).
-            port, timeout, keep_alive, retry, retry_budget_s, breaker, sleep = (
-                positional_shim(
-                    type(self).__name__,
-                    args,
-                    ("port", "timeout", "keep_alive", "retry",
-                     "retry_budget_s", "breaker", "sleep"),
-                    (port, timeout, keep_alive, retry,
-                     retry_budget_s, breaker, sleep),
-                )
-            )
         base = config if config is not None else ClientConfig()
         self.host = host if host is not None else base.host
         self.port = port if port is not None else base.port
@@ -301,8 +285,8 @@ class EndpointClient:
         actual: Optional[float] = None,
         tier: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """The full single-estimate reply (estimate, route, cached,
-        result, ...).  ``actual`` ships ground truth for the server's
+        """The full single-estimate reply (``result``, ``generation``,
+        ``tier``, ...).  ``actual`` ships ground truth for the server's
         slow-query error ranking; ``tier`` requests a QoS lane
         (``"interactive"`` / ``"standard"`` / ``"bulk"``) on a
         tier-aware server."""
@@ -318,7 +302,8 @@ class EndpointClient:
     def estimate(
         self, synopsis: str, query: str, tier: Optional[str] = None
     ) -> float:
-        return float(self.estimate_detail(synopsis, query, tier=tier)["estimate"])
+        reply = self.estimate_detail(synopsis, query, tier=tier)
+        return float(reply["result"]["value"])
 
     def estimate_traced(self, synopsis: str, query: str) -> EstimateResult:
         """One traced estimate as a structured
@@ -359,7 +344,7 @@ class EndpointClient:
         if tier is not None:
             payload["tier"] = tier
         reply = self._request("POST", "/estimate", payload)
-        return [float(result["estimate"]) for result in reply["results"]]
+        return [float(item["result"]["value"]) for item in reply["results"]]
 
     def apply_delta(
         self, synopsis: str, partial, *, force_refresh: bool = False
@@ -378,25 +363,6 @@ class EndpointClient:
         if force_refresh:
             payload["force_refresh"] = True
         return self._request("POST", "/delta", payload)
-
-
-class ServiceClient(EndpointClient):
-    """Deprecated name for :class:`EndpointClient`.
-
-    Kept so pre-cluster call sites run unchanged (same constructor, same
-    methods); new code should use :func:`repro.connect` — which also
-    speaks to routers and seed lists — or :class:`EndpointClient` when a
-    single fixed endpoint is really what is meant.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "ServiceClient is deprecated; use repro.connect() (or "
-            "repro.service.EndpointClient for one fixed endpoint)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:

@@ -27,8 +27,10 @@ The parent process never serves requests.  It:
   recompilation anywhere) and publishes the generation it now serves in
   its slab, which is how ``/healthz`` proves the remap converged.
 
-Workers are full, independent service processes: own registry, plan
-cache, admission gate and slow-query log; their
+Workers are full, independent service processes assembled by
+:func:`repro.service.serve` exactly as single-process serving is: own
+registry, plan cache, semantic cache, QoS admission gate, brownout,
+slow-query log and read deadline; their
 :class:`~repro.service.metrics.ServiceMetrics` additionally mirror into
 the worker's arena slab so the parent can aggregate pool-wide
 ``/metrics`` without any IPC on the hot path.
@@ -36,6 +38,7 @@ the worker's arena slab so the parent can aggregate pool-wide
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import select
 import signal
@@ -429,39 +432,27 @@ class WorkerPool:
         return 0
 
     def _build_worker_service(self, slab: WorkerSlab, arena: SlabArena):
-        from repro.obs.slowlog import SlowQueryLog
-        from repro.reliability.shedding import AdmissionGate
-        from repro.service.plancache import PlanCache
+        from repro.service import serve
         from repro.service.registry import SynopsisRegistry
-        from repro.service.server import EstimationService, ServiceServer
 
-        config = self.config
         registry = SynopsisRegistry(
-            self.snapshot_dir, check_interval=config.reload_interval_s
+            self.snapshot_dir, check_interval=self.config.reload_interval_s
         )
         registry.scan()
-        service = EstimationService(
-            registry,
-            plan_cache=PlanCache(config.plan_cache_capacity),
+        # The same assembly as single-process serving (QoS gate, brownout,
+        # read deadline), bound to the reserved port beside its siblings.
+        server = serve(
+            self.snapshot_dir,
+            config=dataclasses.replace(self.config, host=self.host, port=self.port),
+            registry=registry,
             metrics=SlabMirrorMetrics(slab),
-            gate=AdmissionGate(max_inflight=config.max_inflight),
-            semcache_capacity=config.semcache_capacity,
-            semcache_ttl_s=config.semcache_ttl_s,
-            request_deadline_s=config.request_deadline_s,
-            slow_log=SlowQueryLog(
-                capacity=config.slowlog_capacity,
-                threshold_ms=config.slowlog_threshold_ms,
-                top_k=config.slowlog_top_k,
-            ),
-            trace_sample_rate=config.trace_sample_rate,
+            reuse_port=True,
         )
+        service = server.service
         # Any worker can render the pool-wide picture: the arena is
         # shared memory, readable from every process.
         service.workers_view = arena.aggregate
         service.workers_liveness = lambda: arena.liveness(self.stale_after_s)
-        server = ServiceServer(
-            service, host=self.host, port=self.port, reuse_port=True
-        )
         return service, server
 
     def _watch_reload(

@@ -1,4 +1,4 @@
-"""The ``repro`` package surface: ``__all__``, shims, error hierarchy."""
+"""The ``repro`` package surface: ``__all__``, error hierarchy."""
 
 from __future__ import annotations
 
@@ -45,41 +45,6 @@ class TestAll:
         namespace = {}
         exec("from repro import *", namespace)
         assert set(repro.__all__) - {"__version__"} <= set(namespace)
-
-
-class TestDeprecatedShims:
-    SHIMS = ["XmlDocument", "XmlNode", "Evaluator", "Query", "explain", "EstimateReport"]
-
-    @pytest.mark.parametrize("name", SHIMS)
-    def test_legacy_name_warns_then_resolves(self, name):
-        repro.__dict__.pop(name, None)  # undo the warn-once cache
-        with pytest.warns(DeprecationWarning, match=name):
-            value = getattr(repro, name)
-        assert value is not None
-        # Cached now: no second warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert getattr(repro, name) is value
-
-    def test_shims_resolve_to_canonical_objects(self):
-        from repro.core.explain import explain
-        from repro.xmltree.document import XmlDocument
-
-        repro.__dict__.pop("XmlDocument", None)
-        repro.__dict__.pop("explain", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.XmlDocument is XmlDocument
-            assert repro.explain is explain
-
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist
-
-    def test_dir_lists_legacy_names(self):
-        listing = dir(repro)
-        for name in self.SHIMS:
-            assert name in listing
 
 
 class TestErrorHierarchy:

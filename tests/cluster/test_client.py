@@ -1,5 +1,5 @@
 """The unified client: ``repro.connect`` target forms, seed failover,
-structured results, and the ServiceClient deprecation shim."""
+structured results, and a warning-free endpoint client."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.cluster.client import Client, connect
 from repro.cluster.delta import IncrementalSynopsis
 from repro.core.result import EstimateResult
 from repro.service import EstimationService, ServiceServer, SynopsisRegistry
-from repro.service.client import EndpointClient, ServiceClient, ServiceError
+from repro.service.client import EndpointClient, ServiceError
 
 BODY = "".join("<A><B/><C/></A>" for _ in range(8))
 DOC = "<Root>" + BODY + "</Root>"
@@ -124,16 +124,6 @@ class TestStructuredResults:
 
 
 class TestDeprecationShim:
-    def test_service_client_warns_and_still_works(self, backend):
-        server, _ = backend
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            client = ServiceClient(host=server.host, port=server.port)
-        try:
-            assert isinstance(client, EndpointClient)
-            assert client.estimate("demo", "//A/$B") > 0
-        finally:
-            client.close()
-
     def test_endpoint_client_stays_silent(self, backend):
         server, _ = backend
         with warnings.catch_warnings():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import EstimationSystem
@@ -21,12 +21,9 @@ from repro.xmltree.builder import el
 from repro.xmltree.document import XmlDocument
 
 
-@st.composite
-def record_document(draw) -> XmlDocument:
+def records(seed: int, record_count: int) -> XmlDocument:
     """A flat record corpus: root -> records -> fields (no recursion)."""
-    seed = draw(st.integers(min_value=0, max_value=10**6))
     rng = random.Random(seed)
-    record_count = draw(st.integers(min_value=2, max_value=12))
     field_tags = ["f1", "f2", "f3", "f4"]
     root = el("root")
     for _ in range(record_count):
@@ -38,6 +35,12 @@ def record_document(draw) -> XmlDocument:
             record.append(field)
         root.append(record)
     return XmlDocument(root)
+
+
+@st.composite
+def record_document(draw) -> XmlDocument:
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return records(seed, draw(st.integers(min_value=2, max_value=12)))
 
 
 class TestOrderSoundness:
@@ -85,6 +88,9 @@ class TestOrderSoundness:
 class TestHistogramMonotonicity:
     @settings(max_examples=10, deadline=None)
     @given(record_document())
+    # 25 elements on which v=2 needs one bucket more than v=0 (o-histogram
+    # 192 -> 204 -> 204 bytes): the case the slack below exists for.
+    @example(records(seed=1457, record_count=6))
     def test_order_memory_monotone(self, document):
         # Algorithm 2's greedy box cover is not pointwise monotone in the
         # variance threshold: a looser bound can let an early box grow

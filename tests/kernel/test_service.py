@@ -28,14 +28,14 @@ class TestKernelField:
     def test_untraced_response_reports_kernel(self, service):
         svc, system = service
         body = svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
-        assert body["kernel"] is True
+        assert body["result"]["kernel"] is True
         assert svc.metrics.counter("kernel_hits_total") == 1
 
     def test_untraced_response_with_kernel_disabled(self, service):
         svc, system = service
         system.kernel_enabled = False
         body = svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
-        assert body["kernel"] is False
+        assert body["result"]["kernel"] is False
         assert svc.metrics.counter("kernel_misses_total") == 1
 
     def test_traced_response_reports_actual_join_path(self, service):
@@ -43,11 +43,11 @@ class TestKernelField:
         body = svc.handle_estimate(
             {"synopsis": "fig1", "query": QUERY, "trace": True}
         )
-        assert body["kernel"] is True
+        assert body["result"]["kernel"] is True
         assert body["result"]["trace"] is not None
         # Traced and untraced agree on the value, per the obs contract.
         untraced = svc.handle_estimate({"synopsis": "fig1", "query": QUERY})
-        assert body["estimate"] == untraced["estimate"]
+        assert body["result"]["value"] == untraced["result"]["value"]
 
     def test_traced_response_with_kernel_disabled(self, service):
         svc, system = service
@@ -55,7 +55,7 @@ class TestKernelField:
         body = svc.handle_estimate(
             {"synopsis": "fig1", "query": QUERY, "trace": True}
         )
-        assert body["kernel"] is False
+        assert body["result"]["kernel"] is False
 
 
 class TestBatchMemo:
@@ -66,23 +66,23 @@ class TestBatchMemo:
         )
         assert body["count"] == 3
         first, second, third = body["results"]
-        assert third["estimate"] == first["estimate"]
-        assert third["route"] == first["route"]
-        assert third["cached"] is True
-        assert third["kernel"] == first["kernel"] is True
+        assert third["result"]["value"] == first["result"]["value"]
+        assert third["result"]["route"] == first["result"]["route"]
+        assert third["result"]["cache"]["plan"] is True
+        assert third["result"]["kernel"] == first["result"]["kernel"] is True
 
     def test_batch_results_equal_direct_estimates(self, service):
         svc, system = service
         texts = [QUERY, "//A", "//A[/B]/$C"]
         body = svc.handle_estimate({"synopsis": "fig1", "queries": texts})
         direct = [system.estimate(text) for text in texts]
-        assert [r["estimate"] for r in body["results"]] == direct
+        assert [r["result"]["value"] for r in body["results"]] == direct
 
     def test_batch_equals_estimate_batch(self, service):
         svc, system = service
         texts = [QUERY, "//A", QUERY]
         body = svc.handle_estimate({"synopsis": "fig1", "queries": texts})
-        assert [r["estimate"] for r in body["results"]] == system.estimate(texts)
+        assert [r["result"]["value"] for r in body["results"]] == system.estimate(texts)
 
 
 class TestKernelMetrics:

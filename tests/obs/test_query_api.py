@@ -1,6 +1,6 @@
-"""The redesigned public API: the unified estimate() verb with options
-objects, EstimateResult, deprecation shims for the old verbs, keyword-only
-configuration shims and the stable error-kind wire mapping."""
+"""The public API: the unified estimate() verb with options objects,
+EstimateResult, keyword-only configuration and the stable error-kind
+wire mapping."""
 
 from __future__ import annotations
 
@@ -107,35 +107,6 @@ class TestUnifiedVerb:
         assert repro.ExecuteOptions is ExecuteOptions
         assert repro.ExplainOptions is ExplainOptions
 
-
-class TestDeprecatedVerbs:
-    """The collapsed verbs keep working through warning shims."""
-
-    def test_query_warns_and_matches(self, system):
-        with pytest.warns(DeprecationWarning, match="EstimationSystem.query"):
-            result = system.query("//A/$B")
-        assert result.value == system.estimate("//A/$B")
-
-    def test_query_trace_still_traces(self, system):
-        with pytest.warns(DeprecationWarning):
-            result = system.query("//A/$B", trace=True)
-        assert result.trace is not None
-
-    def test_estimate_batch_warns_and_matches(self, system):
-        texts = ["//A/$B", "//A/$C"]
-        with pytest.warns(DeprecationWarning, match="estimate_batch"):
-            values = system.estimate_batch(texts)
-        assert values == system.estimate(texts)
-
-    def test_estimate_routed_warns_and_matches(self, system):
-        from repro.xpath.parser import parse_query
-
-        parsed = parse_query("//A/$B")
-        route = system.select_route(parsed)
-        with pytest.warns(DeprecationWarning, match="estimate_routed"):
-            value = system.estimate_routed(parsed, route)
-        assert value == system.estimate("//A/$B")
-
     def test_new_surface_stays_silent(self, system):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -147,31 +118,7 @@ class TestDeprecatedVerbs:
 
 
 class TestKeywordOnlyShims:
-    def test_build_positional_tuning_warns_but_works(self, figure1):
-        with pytest.warns(DeprecationWarning, match="p_variance"):
-            shimmed = EstimationSystem.build(figure1, 0.0, 0.0)
-        clean = EstimationSystem.build(figure1, p_variance=0.0, o_variance=0.0)
-        assert shimmed.estimate("//A/$B") == clean.estimate("//A/$B")
-
-    def test_build_synopsis_positional_tuning_warns(self, figure1):
-        with pytest.warns(DeprecationWarning, match="p_variance"):
-            repro.build_synopsis(figure1, 0.0)
-
-    def test_synopsis_builder_positional_tuning_warns(self):
-        with pytest.warns(DeprecationWarning, match="p_variance"):
-            builder = repro.SynopsisBuilder(0.25)
-        assert builder.p_variance == 0.25
-
-    def test_client_positional_tuning_warns(self):
-        from repro.service import ServiceClient
-
-        with pytest.warns(DeprecationWarning, match="port"):
-            client = ServiceClient("127.0.0.1", 9999)
-        assert client.port == 9999
-
     def test_keyword_calls_stay_silent(self, figure1):
-        # EndpointClient is the canonical client; the ServiceClient name
-        # itself warns now (tested separately below).
         from repro.service import EndpointClient
 
         with warnings.catch_warnings():
@@ -180,26 +127,17 @@ class TestKeywordOnlyShims:
             repro.SynopsisBuilder(p_variance=0.0)
             EndpointClient(host="127.0.0.1", port=9999)
 
-    def test_service_client_name_warns(self):
-        from repro.service import EndpointClient, ServiceClient
-
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            client = ServiceClient(host="127.0.0.1", port=9999)
-        assert isinstance(client, EndpointClient)
-
     def test_positional_overflow_raises_type_error(self, figure1):
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                EstimationSystem.build(figure1, 0.0, 0.0, True, True, True, 1, "extra")
+            EstimationSystem.build(figure1, 0.0, 0.0, True, True, True, 1, "extra")
 
     def test_client_config_drives_defaults(self):
-        from repro.service import ClientConfig, ServiceClient
+        from repro.service import ClientConfig, EndpointClient
 
-        client = ServiceClient(config=ClientConfig(port=1234, timeout=1.5))
+        client = EndpointClient(config=ClientConfig(port=1234, timeout=1.5))
         assert (client.port, client.timeout) == (1234, 1.5)
         # Explicit keywords beat the config.
-        client = ServiceClient(port=9, config=ClientConfig(port=1234))
+        client = EndpointClient(port=9, config=ClientConfig(port=1234))
         assert client.port == 9
 
     def test_server_config_validates(self):

@@ -10,9 +10,9 @@ import pytest
 from repro import EstimationSystem, persist
 from repro.core.result import RESULT_FORMAT_VERSION
 from repro.service import (
+    EndpointClient,
     EstimationService,
     ServerConfig,
-    ServiceClient,
     ServiceServer,
     SynopsisRegistry,
     serve,
@@ -35,7 +35,7 @@ def server(snapshot_dir):
 
 @pytest.fixture()
 def client(server):
-    with ServiceClient(host=server.host, port=server.port) as c:
+    with EndpointClient(host=server.host, port=server.port) as c:
         yield c
 
 
@@ -75,7 +75,6 @@ class TestTracedRoundTrip:
 
     def test_untraced_response_carries_versioned_result_without_trace(self, client):
         reply = client.estimate_detail("fig1", "//A/$B")
-        assert reply["estimate"] == reply["result"]["value"]  # legacy + new
         assert reply["result"]["version"] == RESULT_FORMAT_VERSION
         assert "trace" not in reply["result"]
 
@@ -150,7 +149,7 @@ class TestSampling:
         registry.scan()
         service = EstimationService(registry, trace_sample_rate=1.0)
         with ServiceServer(service, port=0) as running:
-            with ServiceClient(host=running.host, port=running.port) as client:
+            with EndpointClient(host=running.host, port=running.port) as client:
                 reply = client.estimate_detail("fig1", "//A/$B")  # no trace flag
         assert "trace" in reply["result"]
 

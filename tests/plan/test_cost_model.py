@@ -1,9 +1,7 @@
-"""The cost model's memoization and the planners' estimate reuse.
+"""The cost model's memoization and the planner's estimate reuse.
 
-The historical QueryPlanner re-derived the spine estimate for every
-edge of a bushy node (quadratic in fan-out across plan() calls); both
-planners now memoize by rendered sub-query text, so each distinct
-sub-pattern costs one estimate per planner lifetime.
+The cost model memoizes by rendered sub-query text, so each distinct
+sub-pattern of a bushy node costs one estimate per planner lifetime.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import pytest
 from repro.core.system import EstimationSystem
 from repro.plan.cost import AXIS_WEIGHTS, CostModel, step_cost
 from repro.plan.planner import CostBasedPlanner
-from repro.planner import QueryPlanner
 from repro.xpath.ast import QueryAxis
 from repro.xpath.parser import parse_query
 
@@ -70,41 +67,6 @@ class TestCostModel:
         pattern = CostModel(system).prepare(parse_query(BUSHY), use_path_ids=True)
         node = pattern.query.root
         assert pattern.factor(node, (0, 1)) == 1.0
-
-
-class TestQueryPlannerMemo:
-    def test_repeat_plans_cost_no_new_estimates(self, system):
-        planner = QueryPlanner(system)
-        query = parse_query(BUSHY)
-        planner.plan(query)
-        first = planner.estimate_calls
-        assert first > 0
-        planner.plan(query)
-        planner.plan(parse_query(BUSHY))  # same shape, fresh AST
-        assert planner.estimate_calls == first
-
-    def test_bushy_query_estimates_each_subpattern_once(self, system):
-        planner = QueryPlanner(system)
-        query = parse_query(BUSHY)
-        planner.plan(query)
-        # One spine estimate + one per branch of the bushy node: the
-        # spine must not be re-estimated per edge (the old quadratic).
-        branches = len(query.root.edges) - sum(
-            1 for e in query.root.edges if e.node is query.target
-        )
-        assert planner.estimate_calls <= 1 + len(query.root.edges)
-        assert branches >= 2  # the query really is bushy
-
-    def test_planned_query_matches_same_nodes(self, system, figure1):
-        from repro.queryproc import StructuralJoinProcessor
-
-        processor = StructuralJoinProcessor(figure1)
-        planner = QueryPlanner(system)
-        query = parse_query(BUSHY)
-        planned = planner.plan(query)
-        assert set(processor.matching_pres(planned)) == set(
-            processor.matching_pres(query)
-        )
 
 
 class TestCostBasedPlannerMemo:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -133,23 +131,6 @@ class TestRaiseSitesCarryKinds:
 
 
 class TestDeprecationShims:
-    # PEP 562 module shims warn exactly once per name per process (the
-    # resolved object is cached in the module dict afterwards).
-
-    @pytest.mark.parametrize("name", ["XmlDocument", "Evaluator", "explain"])
-    def test_shim_warns_exactly_once(self, name):
-        repro.__dict__.pop(name, None)  # reset the warn-once cache
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            first = getattr(repro, name)
-            second = getattr(repro, name)
-        assert first is second
-        deprecations = [
-            w for w in seen if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert name in str(deprecations[0].message)
-
     def test_unknown_name_is_attribute_error_not_warning(self):
         with pytest.raises(AttributeError):
             repro.definitely_not_a_symbol

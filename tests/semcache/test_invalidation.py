@@ -22,7 +22,7 @@ from repro import EstimationSystem, persist
 from repro.build.builder import build_synopsis
 from repro.cluster.delta import IncrementalSynopsis
 from repro.semcache import canonical_key, options_fingerprint
-from repro.service import ServerConfig, ServiceClient, SynopsisRegistry
+from repro.service import EndpointClient, ServerConfig, SynopsisRegistry
 from repro.shm import WorkerPool, pool_supported
 from repro.workload import WorkloadGenerator
 from repro.xpath.parser import parse_query
@@ -274,7 +274,7 @@ class TestPreForkReload:
         with WorkerPool(
             str(tmp_path), workers=2, config=config, reload_poll_s=0.05
         ) as pool:
-            with ServiceClient(port=pool.port) as client:
+            with EndpointClient(port=pool.port) as client:
                 # Warm every worker's semcache on the hot query.
                 for _ in range(16):
                     reply = client._request(
@@ -282,7 +282,7 @@ class TestPreForkReload:
                         "/estimate",
                         {"synopsis": "SSPlays", "query": query},
                     )
-                    assert reply["estimate"] == value_a
+                    assert reply["result"]["value"] == value_a
                 persist.save(version_b, path)
                 pool.reload(force=True)
                 deadline = time.monotonic() + 30.0
@@ -297,4 +297,4 @@ class TestPreForkReload:
                         "/estimate",
                         {"synopsis": "SSPlays", "query": query},
                     )
-                    assert reply["estimate"] == value_b
+                    assert reply["result"]["value"] == value_b

@@ -2,8 +2,8 @@
 semantic result cache).
 
 ``result.cache = {"plan": bool, "result": bool}`` is the structured
-attribution; the legacy flat ``cached`` boolean is kept as a compat
-alias of ``cache["plan"]`` behind ``compat_fields``.
+attribution: whether the compiled-plan cache hit and whether the
+semantic result cache (or the within-batch memo) served the value.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class TestResultRoundTrip:
             query="//A/$B",
             route="no_order",
             elapsed_ms=0.2,
-            cached=True,
             kernel=True,
             cache={"plan": True, "result": False},
         )
@@ -57,15 +56,13 @@ class TestServiceWire:
         assert isinstance(cache["plan"], bool)
         assert isinstance(cache["result"], bool)
 
-    def test_legacy_cached_is_an_alias_of_cache_plan(self, service):
+    def test_cache_plan_reports_the_plan_cache_hit(self, service):
         first = service.handle_estimate(
             {"synopsis": "fig1", "query": "//A/$C"}
         )
         second = service.handle_estimate(
             {"synopsis": "fig1", "query": "//A/$C"}
         )
-        for reply in (first, second):
-            assert reply["cached"] == reply["result"]["cache"]["plan"]
         assert first["result"]["cache"]["plan"] is False
         assert second["result"]["cache"]["plan"] is True
         assert second["result"]["cache"]["result"] is True
@@ -93,9 +90,9 @@ class TestServiceWire:
         results = reply["results"]
         assert results[0]["result"]["cache"]["result"] in (False, True)
         third = results[2]
-        assert third["cached"] is True
+        assert third["result"]["cache"]["plan"] is True
         assert third["result"]["cache"] == {"plan": True, "result": True}
-        values = {result["estimate"] for result in results}
+        values = {result["result"]["value"] for result in results}
         assert len(values) == 1
 
     def test_equivalent_spellings_share_within_a_batch(self, service):
@@ -107,7 +104,7 @@ class TestServiceWire:
         )
         first, second = reply["results"]
         assert second["result"]["cache"]["result"] is True
-        assert second["estimate"] == first["estimate"]
+        assert second["result"]["value"] == first["result"]["value"]
         assert second["result"]["elapsed_ms"] == 0.0
 
     def test_metrics_document_exposes_the_semcache_block(self, service):

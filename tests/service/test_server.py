@@ -14,8 +14,8 @@ import pytest
 import repro
 from repro import EstimationSystem, persist
 from repro.service import (
+    EndpointClient,
     EstimationService,
-    ServiceClient,
     ServiceError,
     ServiceServer,
     SynopsisRegistry,
@@ -24,7 +24,7 @@ from repro.workload import WorkloadGenerator
 
 
 def client_for(server):
-    return ServiceClient(port=server.port)
+    return EndpointClient(port=server.port)
 
 
 class TestEndpoints:
@@ -42,10 +42,10 @@ class TestEndpoints:
 
     def test_single_estimate(self, running_server, figure1_system):
         detail = client_for(running_server).estimate_detail("fig1", "//A/B")
-        assert detail["estimate"] == figure1_system.estimate("//A/B")
+        assert detail["result"]["value"] == figure1_system.estimate("//A/B")
         assert detail["synopsis"] == "fig1"
         assert detail["generation"] == 1
-        assert detail["route"] == "no_order"
+        assert detail["result"]["route"] == "no_order"
 
     def test_batch_estimate(self, running_server, figure1_system):
         queries = ["//A/B", "//A//$C", "//A[/C[/F]/folls::$B/D]"]
@@ -54,8 +54,8 @@ class TestEndpoints:
 
     def test_cached_flag_flips_on_second_request(self, running_server):
         client = client_for(running_server)
-        assert client.estimate_detail("fig1", "//F/E")["cached"] is False
-        assert client.estimate_detail("fig1", "//F/E")["cached"] is True
+        assert client.estimate_detail("fig1", "//F/E")["result"]["cache"]["plan"] is False
+        assert client.estimate_detail("fig1", "//F/E")["result"]["cache"]["plan"] is True
 
     def test_metrics_endpoint_shape(self, running_server):
         client = client_for(running_server)
@@ -190,9 +190,9 @@ class TestHotReloadOverHTTP:
 
         detail = client.estimate_detail("fig1", "//A/B")
         assert detail["generation"] == 2
-        assert detail["estimate"] == coarse.estimate("//A/B")
+        assert detail["result"]["value"] == coarse.estimate("//A/B")
         # The old generation's plans are dead: first hit recompiles.
-        assert detail["cached"] is False
+        assert detail["result"]["cache"]["plan"] is False
 
 
 class TestServeSubprocess:
@@ -216,7 +216,7 @@ class TestServeSubprocess:
             banner = process.stdout.readline()
             assert "serving" in banner
             port = int(banner.rsplit(":", 1)[1].split()[0].rstrip(")"))
-            client = ServiceClient(port=port)
+            client = EndpointClient(port=port)
             assert client.healthz()["synopses"] == 2
             served = client.estimate_batch("fig1", ["//A/B", "//A//$C"])
             assert served == [4.0, 2.0]

@@ -24,9 +24,9 @@ from repro.reliability.shedding import (
     default_tiers,
 )
 from repro.service import (
+    EndpointClient,
     EstimationService,
     ServerConfig,
-    ServiceClient,
     SynopsisRegistry,
 )
 from repro.shm import WorkerPool, pool_supported
@@ -54,7 +54,7 @@ def expected_vectors(version_a, version_b):
 
 
 def _reply_vector(reply):
-    return tuple(result["estimate"] for result in reply["results"])
+    return tuple(item["result"]["value"] for item in reply["results"])
 
 
 class TestSingleProcess:
@@ -180,7 +180,7 @@ class TestPreFork:
                     time.sleep(0.05)
 
             def reader():
-                with ServiceClient(port=pool.port) as client:
+                with EndpointClient(port=pool.port) as client:
                     while not stop.is_set():
                         reply = client._request(
                             "POST",

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro import persist
-from repro.service import ServerConfig, ServiceClient
+from repro.service import EndpointClient, ServerConfig
 from repro.shm import WorkerPool, pool_supported, stage_packs
 from repro.shm.control import ControlServer, pool_health, pool_metrics, render_pool_prom
 
@@ -53,7 +53,7 @@ def pool(pool_dir):
 
 @pytest.fixture()
 def client(pool):
-    with ServiceClient(port=pool.port) as client:
+    with EndpointClient(port=pool.port) as client:
         yield client
 
 
@@ -76,6 +76,15 @@ class TestServing:
         ), "no worker decoded a pack table"
         assert pool.arena.aggregate()["totals"]["pack_misses"] == 0
         assert pool.pack_status.get("SSPlays") in ("staged", "fresh")
+
+    def test_workers_admit_through_the_tiered_gate(self, pool):
+        # Workers are assembled like single-process serving, so the QoS
+        # gate stamps its lane on every estimate reply.  A connection
+        # per request lets the kernel spread them over both workers.
+        with EndpointClient(port=pool.port, keep_alive=False) as client:
+            for _ in range(8):
+                reply = client.estimate_detail("SSPlays", "//PLAY/ACT")
+                assert reply["tier"] == "interactive"
 
     def test_healthz_reports_kernels_and_workers(self, client):
         body = client.healthz()
