@@ -129,9 +129,17 @@ def test_obs_overhead(ctx, benchmark):
 
     benchmark.pedantic(sweep_query_off, rounds=1, iterations=1)
 
-    legacy_s, off_s, on_s = _best_loop_s(
-        [sweep_estimate, sweep_query_off, sweep_query_on]
-    )
+    # The structured-result paths bypass the semantic result cache, so
+    # the plain arm must not read through it either: all three sweeps
+    # time real estimates.
+    saved = system.semcache.capacity, system.semcache.ttl_s
+    system.semcache.configure(0, None)
+    try:
+        legacy_s, off_s, on_s = _best_loop_s(
+            [sweep_estimate, sweep_query_off, sweep_query_on]
+        )
+    finally:
+        system.semcache.configure(*saved)
     off_overhead = off_s / legacy_s - 1.0
     on_overhead = on_s / legacy_s - 1.0
 

@@ -357,9 +357,8 @@ class IncrementalSynopsis:
         The new system is fully constructed before the ``system``
         attribute moves, and the old one is immutable, so a concurrent
         reader sees either complete state — never a torn mix.  The
-        replaced system's compiled kernel is invalidated (the PR 5
-        stale-kernel guard), so captured references fall back instead of
-        serving pre-delta statistics.
+        replaced system's compiled kernel is invalidated (the stale-kernel
+        guard), so no join runs on pre-delta statistics.
         """
         from repro.core.system import EstimationSystem
 

@@ -42,7 +42,6 @@ def rewrite_scoped_order_query(
     fixpoint: bool = True,
     depth_consistent: bool = True,
     tracer=NULL_TRACER,
-    kernel=None,
 ) -> List[Query]:
     """Convert one ``foll``/``pre`` edge into a set of sibling-axis queries.
 
@@ -66,7 +65,7 @@ def rewrite_scoped_order_query(
     join = path_join(
         counterpart, provider, table,
         fixpoint=fixpoint, depth_consistent=depth_consistent,
-        tracer=tracer, kernel=kernel,
+        tracer=tracer,
     )
     if join.empty:
         return []

@@ -82,7 +82,7 @@ def _pruned_to_spine(query: Query, target: QueryNode) -> Query:
     Queries are immutable once finalized, so the pruned counterpart for a
     given target never changes; caching it keeps the clone's identity
     stable across estimates, which the kernel's weak per-query plan cache
-    (and the legacy support cache) rely on for repeat hits.
+    relies on for repeat hits.
     """
     cache = getattr(query, "_spine_prune_cache", None)
     if cache is None:
@@ -103,7 +103,6 @@ def estimate_no_order(
     fixpoint: bool = True,
     depth_consistent: bool = True,
     tracer=NULL_TRACER,
-    kernel=None,
 ) -> float:
     """Estimate ``S_Q(target)`` for a query without order axes."""
     node = target if target is not None else query.target
@@ -114,10 +113,9 @@ def estimate_no_order(
         fixpoint=fixpoint,
         depth_consistent=depth_consistent,
         tracer=tracer,
-        kernel=kernel,
     )
     return _estimate(
-        query, node, join, provider, table, fixpoint, depth_consistent, tracer, kernel
+        query, node, join, provider, table, fixpoint, depth_consistent, tracer
     )
 
 
@@ -130,7 +128,6 @@ def _estimate(
     fixpoint: bool,
     depth_consistent: bool,
     tracer=NULL_TRACER,
-    kernel=None,
 ) -> float:
     if join.empty:
         return 0.0
@@ -145,7 +142,6 @@ def _estimate(
         fixpoint=fixpoint,
         depth_consistent=depth_consistent,
         tracer=tracer,
-        kernel=kernel,
     )
     if pruned_join.empty:
         return 0.0
@@ -158,7 +154,7 @@ def _estimate(
     # S_Q(ni), recursively (equals f_Q(ni) when ni is trunk).
     s_ni = _estimate(
         query, branching, join, provider, table, fixpoint, depth_consistent,
-        tracer, kernel,
+        tracer,
     )
     return f_prime_n * s_ni / f_prime_ni
 

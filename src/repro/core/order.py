@@ -57,7 +57,6 @@ def estimate_with_order(
     fixpoint: bool = True,
     depth_consistent: bool = True,
     tracer=NULL_TRACER,
-    kernel=None,
 ) -> float:
     """Estimate ``S_Q⃗(target)`` for a query with one sibling-order edge."""
     node = target if target is not None else query.target
@@ -71,18 +70,18 @@ def estimate_with_order(
         return estimate_no_order(
             query, path_provider, table, target=node,
             fixpoint=fixpoint, depth_consistent=depth_consistent,
-            tracer=tracer, kernel=kernel,
+            tracer=tracer,
         )
     if len(edges) > 1:
         return _estimate_multi_edge(
             query, edges, path_provider, order_provider, table, node,
-            fixpoint, depth_consistent, tracer, kernel,
+            fixpoint, depth_consistent, tracer,
         )
     axis, source, dest = edges[0]
     earlier, later = (source, dest) if axis is QueryAxis.FOLLS else (dest, source)
     estimator = _OrderEstimator(
         query, earlier, later, path_provider, order_provider, table,
-        fixpoint, depth_consistent, tracer, kernel,
+        fixpoint, depth_consistent, tracer,
     )
     return estimator.estimate(node)
 
@@ -97,7 +96,6 @@ def _estimate_multi_edge(
     fixpoint: bool,
     depth_consistent: bool,
     tracer=NULL_TRACER,
-    kernel=None,
 ) -> float:
     """Generalized Equation 5 for multiple sibling-order axes.
 
@@ -127,7 +125,6 @@ def _estimate_multi_edge(
                 fixpoint=fixpoint,
                 depth_consistent=depth_consistent,
                 tracer=tracer,
-                kernel=kernel,
             )
         )
     return min(estimates)
@@ -155,7 +152,6 @@ class _OrderEstimator:
         fixpoint: bool,
         depth_consistent: bool = True,
         tracer=NULL_TRACER,
-        kernel=None,
     ):
         self.query = query
         self.earlier = earlier
@@ -166,7 +162,6 @@ class _OrderEstimator:
         self.fixpoint = fixpoint
         self.depth_consistent = depth_consistent
         self.tracer = tracer
-        self.kernel = kernel
         # The order-free counterpart Q of the full query.
         self.counterpart, self.counterpart_map = clone_query_cached(
             query, order_to_structural=True
@@ -240,7 +235,6 @@ class _OrderEstimator:
             fixpoint=self.fixpoint,
             depth_consistent=self.depth_consistent,
             tracer=self.tracer,
-            kernel=self.kernel,
         )
 
     def _order_ratio_parts(
@@ -260,7 +254,7 @@ class _OrderEstimator:
         join = path_join(
             simplified, self.paths, self.table,
             fixpoint=self.fixpoint, depth_consistent=self.depth_consistent,
-            tracer=self.tracer, kernel=self.kernel,
+            tracer=self.tracer,
         )
         if join.empty:
             return 0.0, 0.0
@@ -274,6 +268,6 @@ class _OrderEstimator:
         s_prime = estimate_no_order(
             simplified, self.paths, self.table, target=sibling_clone,
             fixpoint=self.fixpoint, depth_consistent=self.depth_consistent,
-            tracer=self.tracer, kernel=self.kernel,
+            tracer=self.tracer,
         )
         return s_order_prime, s_prime

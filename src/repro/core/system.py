@@ -45,7 +45,13 @@ from repro.core.result import EstimateResult
 from repro.obs.providers import TracingOrderStats, TracingPathStats
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.semcache import SemanticResultCache, canonical_key, options_fingerprint
-from repro.kernel.compiled import SynopsisKernel
+from repro.kernel.compiled import (
+    SynopsisKernel,
+    adopt_kernel,
+    drop_kernel,
+    live_kernel,
+    peek_kernel,
+)
 from repro.histograms.ohistogram import OHistogramSet
 from repro.histograms.phistogram import PHistogramSet
 from repro.pathenc.bintree import PathIdBinaryTree
@@ -106,12 +112,6 @@ class EstimationSystem:
         self.name = name or (
             labeled.document.name if labeled.document is not None else ""
         )
-        #: Serve joins through the compiled bitset kernel (bit-identical
-        #: to the legacy dict pipeline).  Flip to ``False`` to pin the
-        #: legacy path — the ablation/benchmark switch.
-        self.kernel_enabled = True
-        self._kernel: Optional[SynopsisKernel] = None
-        self._kernel_lock = threading.Lock()
         #: Canonicalized estimate memoization (repro.semcache): the plain
         #: ``estimate()`` path reads through it; every synopsis swap and
         #: kernel invalidation bumps its generation (O(1) wholesale
@@ -279,34 +279,15 @@ class EstimationSystem:
     # Compiled kernel
     # ------------------------------------------------------------------
 
-    def kernel(self) -> Optional[SynopsisKernel]:
-        """The compiled synopsis kernel, built lazily on first use.
+    def kernel(self) -> SynopsisKernel:
+        """The compiled synopsis kernel every join of this system runs on.
 
-        Returns ``None`` when :attr:`kernel_enabled` is off.  The kernel
-        compiles per-tag index tables and containment bitmatrices on
-        demand (under its own lock, so concurrent service threads share
-        one compile), and the default estimation path runs the path join
-        on it; results are bit-identical to the legacy pipeline.
+        The kernel is owned by :func:`repro.kernel.live_kernel` (one per
+        provider) and compiles per-tag index tables and containment
+        bitmatrices on demand (under its own lock, so concurrent service
+        threads share one compile).
         """
-        if not self.kernel_enabled:
-            return None
-        kernel = self._kernel
-        if kernel is None:
-            with self._kernel_lock:
-                kernel = self._kernel
-                if kernel is None:
-                    kernel = SynopsisKernel(
-                        self.encoding_table, self.path_provider, name=self.name
-                    )
-                    self._kernel = kernel
-        return kernel
-
-    def kernel_active(self) -> bool:
-        """True when joins on this system are served by the kernel."""
-        kernel = self.kernel()
-        return kernel is not None and kernel.supports(
-            self.path_provider, self.encoding_table
-        )
+        return live_kernel(self.path_provider, self.encoding_table, name=self.name)
 
     def adopt_kernel(self, kernel: SynopsisKernel) -> None:
         """Attach a pre-built kernel instead of compiling one lazily.
@@ -318,50 +299,42 @@ class EstimationSystem:
         encoding table — a mismatched kernel would silently produce
         estimates for a different synopsis, so it is rejected here.
         """
-        if not kernel.supports(self.path_provider, self.encoding_table):
+        if (
+            kernel.invalidated
+            or kernel.provider is not self.path_provider
+            or kernel.table is not self.encoding_table
+        ):
             raise ValueError(
                 "kernel %r was not built for this system's provider/encoding "
                 "table" % (kernel.name,)
             )
-        with self._kernel_lock:
-            previous, self._kernel = self._kernel, kernel
-        if previous is not None and previous is not kernel:
-            previous.invalidate()
+        adopt_kernel(kernel)
 
     def kernel_peek(self) -> Optional[SynopsisKernel]:
         """The attached kernel, or ``None`` — never triggers a compile
         (health checks and metrics must not pay the build cost)."""
-        return self._kernel
+        return peek_kernel(self.path_provider, self.encoding_table)
 
     def kernel_state(self) -> str:
         """Readiness of the compiled kernel, without compiling one.
 
-        ``"disabled"`` (kernel turned off), ``"pending"`` (will compile
-        lazily on first estimate), ``"ready"`` (attached and serving),
-        ``"stale"`` (invalidated by a reload/append; awaiting
-        replacement) or ``"unsupported"`` (attached but cannot serve this
-        provider — e.g. depth-refined statistics).  ``/healthz`` exposes
+        ``"pending"`` (will compile lazily on first estimate),
+        ``"ready"`` (attached and serving) or ``"stale"`` (invalidated;
+        the next join compiles a replacement).  ``/healthz`` exposes
         this per synopsis so load balancers can tell a warmed-up worker
         from one that would eat the compile cost on its next request.
         """
-        if not self.kernel_enabled:
-            return "disabled"
-        kernel = self._kernel
+        kernel = self.kernel_peek()
         if kernel is None:
             return "pending"
-        if kernel.invalidated:
-            return "stale"
-        if not kernel.supports(self.path_provider, self.encoding_table):
-            return "unsupported"
-        return "ready"
+        return "stale" if kernel.invalidated else "ready"
 
     def invalidate_kernel(self) -> bool:
         """Drop the attached kernel (hot reload / live append guard).
 
-        Marks the old kernel stale so captured references fall back to
-        the legacy path instead of serving a replaced synopsis; the next
-        :meth:`kernel` call compiles a fresh one.  Returns whether a
-        kernel was attached.
+        Marks the old kernel stale and detaches it; every join fetches
+        the live kernel, so the next one compiles a fresh kernel.
+        Returns whether a kernel was attached.
 
         This is the single choke point every synopsis-content change
         funnels through (registry hot reload and re-registration, live
@@ -370,15 +343,11 @@ class EstimationSystem:
         never outlive the statistics they were computed from.
         """
         self.semcache.bump_generation()
-        with self._kernel_lock:
-            kernel, self._kernel = self._kernel, None
+        kernel = drop_kernel(self.path_provider)
         planner = self._planner
         if planner is not None:
             planner.cost_model.clear()  # estimates may come from a new synopsis
-        if kernel is not None:
-            kernel.invalidate()
-            return True
-        return False
+        return kernel is not None
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -485,13 +454,9 @@ class EstimationSystem:
         the fixpoint path, where the estimate is provably invariant
         under branch reordering (see :mod:`repro.semcache.canonical`);
         single-pass runs still merge textual variants of one tree.
-
-        ``kernel_enabled=False`` is the ablation/benchmark control arm
-        and must execute every estimate honestly, so it bypasses the
-        cache entirely (no reads, no writes).
         """
         cache = self.semcache
-        if not cache.enabled or not self.kernel_enabled:
+        if not cache.enabled:
             return self._estimate_routed(
                 parsed,
                 self.select_route(parsed),
@@ -553,7 +518,7 @@ class EstimationSystem:
         disabled; when enabled, each distinct key also reads through it.
         """
         cache = self.semcache
-        use_cache = cache.enabled and self.kernel_enabled
+        use_cache = cache.enabled
         fingerprint = options_fingerprint(opts.fixpoint, opts.depth_consistent)
         memo: Dict[str, float] = {}
         values: List[float] = []
@@ -598,10 +563,9 @@ class EstimationSystem:
         if tracer.enabled:
             path_provider = TracingPathStats(path_provider, tracer)
             order_provider = TracingOrderStats(order_provider, tracer)
-        kernel = self.kernel() if fixpoint and depth_consistent else None
         return self._estimate_routed_with(
             parsed, route, path_provider, order_provider,
-            fixpoint, depth_consistent, tracer, kernel,
+            fixpoint, depth_consistent, tracer,
         )
 
     def _estimate_routed_with(
@@ -613,14 +577,13 @@ class EstimationSystem:
         fixpoint: bool,
         depth_consistent: bool,
         tracer,
-        kernel=None,
     ) -> float:
         """Route dispatch over explicit (possibly tracing) providers."""
         if route == ROUTE_SCOPED:
             variants = rewrite_scoped_order_query(
                 parsed, path_provider, self.encoding_table,
                 fixpoint=fixpoint, depth_consistent=depth_consistent,
-                tracer=tracer, kernel=kernel,
+                tracer=tracer,
             )
             return sum(
                 self._estimate_routed_with(
@@ -631,7 +594,6 @@ class EstimationSystem:
                     fixpoint,
                     depth_consistent,
                     tracer,
-                    kernel,
                 )
                 for variant in variants
             )
@@ -644,14 +606,13 @@ class EstimationSystem:
                 fixpoint=fixpoint,
                 depth_consistent=depth_consistent,
                 tracer=tracer,
-                kernel=kernel,
             )
         if route != ROUTE_NO_ORDER:
             raise ValueError("unknown estimation route %r" % route)
         return estimate_no_order(
             parsed, path_provider, self.encoding_table,
             fixpoint=fixpoint, depth_consistent=depth_consistent,
-            tracer=tracer, kernel=kernel,
+            tracer=tracer,
         )
 
     def join(
@@ -662,11 +623,9 @@ class EstimationSystem:
     ) -> JoinResult:
         """Expose the raw path join (used by tests and examples)."""
         parsed = _coerce_query(query)
-        kernel = self.kernel() if fixpoint and depth_consistent else None
         return path_join(
             parsed, self.path_provider, self.encoding_table,
             fixpoint=fixpoint, depth_consistent=depth_consistent,
-            kernel=kernel,
         )
 
     # ------------------------------------------------------------------

@@ -87,9 +87,8 @@ def clone_query_cached(
 
     Patterns are immutable once finalized, so a given transformation
     always yields the same clone; keeping its identity stable lets the
-    per-query caches downstream (the kernel's weak plan map, the legacy
-    support cache) hit on repeat estimates instead of replanning a fresh
-    clone every call.
+    per-query caches downstream (the kernel's weak plan map) hit on
+    repeat estimates instead of replanning a fresh clone every call.
     """
     key = (
         frozenset(drop_subtree_of) if drop_subtree_of else None,

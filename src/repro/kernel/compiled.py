@@ -1,15 +1,18 @@
 """The compiled synopsis kernel: interned pids + containment bitmatrices.
 
-The legacy join re-derives pathid-pair containment from raw bit vectors
-on every query (``pids_compatible`` walks the encodings of the contained
-id; the depth maps are dicts of sets).  The kernel compiles the synopsis
-once instead:
+A join written against the paper's definitions re-derives pathid-pair
+containment from raw bit vectors on every query (``pids_compatible``
+walks the encodings of the contained id; the depth maps are dicts of
+sets).  The kernel compiles the synopsis once instead:
 
 * **Tag tables** — every tag's (path id, frequency) pairs are interned
   into dense integer indexes ``0..n-1`` in provider order, frequencies in
   a parallel ``array('d')``, and the statically feasible placements as
   one bitset per depth (bit *i* set ⟺ pid *i* can sit at that depth).
-  Depth 0 of that family is exactly the ``pid_is_root`` set.
+  Depth 0 of that family is exactly the ``pid_is_root`` set.  For
+  depth-refined statistics the join is seeded from the empirical depths
+  instead, and the per-depth frequencies ride along so pruned ids can be
+  re-summed.
 * **Containment pairs** — for each (upper tag, lower tag, axis) a
   bitmatrix ``down[i]`` = bitset of lower indexes *j* with
   ``pids_compatible(table, U, pid_i, L, pid_j, axis)`` true, plus the
@@ -27,6 +30,13 @@ touches are ever built, under the kernel lock with double-checked reads.
 The kernel is *immutable once built* — hot reloads and live appends
 replace the system and :meth:`invalidate` the old kernel rather than
 mutating it.
+
+**One live kernel per provider.**  :func:`live_kernel` owns the mapping
+from a statistics provider to its kernel (weakly keyed, so a replaced
+synopsis takes its kernel with it).  Every path join fetches the kernel
+there, so nothing keeps joining on a kernel after it was invalidated;
+:class:`~repro.core.system.EstimationSystem` reads and writes the same
+map through ``kernel()``, ``adopt_kernel()`` and ``invalidate_kernel()``.
 """
 
 from __future__ import annotations
@@ -37,11 +47,15 @@ import weakref
 from array import array
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.providers import TracingPathStats
 from repro.obs.trace import NULL_TRACER
 from repro.pathenc.encoding import EncodingTable
 from repro.xpath.ast import Query
 
-__all__ = ["SynopsisKernel", "TagTable", "popcount"]
+__all__ = [
+    "SynopsisKernel", "TagTable", "adopt_kernel", "drop_kernel",
+    "live_kernel", "peek_kernel", "popcount",
+]
 
 try:  # pragma: no cover - version probe
     (0).bit_count
@@ -61,15 +75,19 @@ class TagTable:
     """One tag's interned pid space.
 
     ``pids[i]``/``freqs[i]`` are parallel (provider order, so summing
-    frequencies in ascending index order reproduces the legacy dict-sum
-    bit for bit).  ``init_at[d]`` is the bitset of indexes statically
-    feasible at depth ``d``; ``alive_mask`` is their union (ids whose
-    feasible depth set is empty never get a bit).
+    frequencies in ascending index order reproduces a dict sum over the
+    pids bit for bit).  ``feasible_at[d]`` is the bitset of indexes the
+    encoding table allows at depth ``d``; ``init_at[d]`` the placements
+    the depth-consistent join starts from — the same tuple, except for
+    depth-refined statistics, where it holds the empirical depths and
+    ``depth_freqs[i]`` maps each depth of pid ``i`` to its frequency.
+    ``alive_mask`` is the union of ``init_at`` (ids that start with no
+    placement never get a bit).
     """
 
     __slots__ = (
         "tag", "pids", "freqs", "index_of", "init_at", "alive_mask",
-        "alive_count",
+        "alive_count", "feasible_at", "depth_freqs",
     )
 
     def __init__(
@@ -80,6 +98,8 @@ class TagTable:
         index_of: Dict[int, int],
         init_at: Tuple[int, ...],
         alive_mask: int,
+        feasible_at: Optional[Tuple[int, ...]] = None,
+        depth_freqs: Optional[Tuple[Optional[Dict[int, float]], ...]] = None,
     ):
         self.tag = tag
         self.pids = pids
@@ -88,6 +108,8 @@ class TagTable:
         self.init_at = init_at
         self.alive_mask = alive_mask
         self.alive_count = popcount(alive_mask)
+        self.feasible_at = init_at if feasible_at is None else feasible_at
+        self.depth_freqs = depth_freqs
 
     @property
     def depth_count(self) -> int:
@@ -132,16 +154,14 @@ class SynopsisKernel:
     """Compiled join structures for one (encoding table, provider) pair.
 
     Built lazily per tag / tag pair under an internal lock; safe to share
-    across the service's worker threads.  ``supports`` gates the hot
-    path: the kernel only serves the provider and table it was compiled
-    from (the tracing decorators are unwrapped), and steps aside for
-    depth-refined statistics, whose empirical depth seeding the compiled
-    tables do not model.
+    across the service's worker threads.  The provider is held weakly:
+    the live-kernel map is keyed by it, and a kernel must not keep its
+    own key alive.
     """
 
     def __init__(self, table: EncodingTable, provider: object, name: str = ""):
         self.table = table
-        self.provider = provider
+        self._provider = weakref.ref(provider)
         self.name = name
         self.invalidated = False
         self._lock = threading.RLock()
@@ -151,11 +171,7 @@ class SynopsisKernel:
         self._plans: "weakref.WeakKeyDictionary[Query, object]" = (
             weakref.WeakKeyDictionary()
         )
-        # Depth-refined providers seed the join from empirical per-depth
-        # frequencies; the kernel compiles static feasibility only.
-        self.eligible = getattr(provider, "depth_frequency_map", None) is None
         self.joins = 0
-        self.fallbacks = 0
         self.build_ms = 0.0
         # Kernelpack accounting: a PackedKernel counts tables/pairs it
         # decoded off the mapping vs. compiled in-process (pack gaps);
@@ -163,22 +179,10 @@ class SynopsisKernel:
         self.pack_hits = 0
         self.pack_misses = 0
 
-    # ------------------------------------------------------------------
-    # Gating
-    # ------------------------------------------------------------------
-
-    def supports(self, provider: object, table: EncodingTable) -> bool:
-        """Can this kernel serve a join over (provider, table)?"""
-        if self.invalidated or not self.eligible or table is not self.table:
-            return False
-        if provider is self.provider:
-            return True
-        # Traced requests wrap the provider in TracingPathStats; the
-        # statistics underneath are still ours.
-        return getattr(provider, "_inner", None) is self.provider
-
-    def note_fallback(self) -> None:
-        self.fallbacks += 1
+    @property
+    def provider(self) -> object:
+        """The statistics provider this kernel was compiled from."""
+        return self._provider()
 
     def invalidate(self) -> None:
         """Mark stale (hot reload / live append replaced the synopsis)."""
@@ -260,11 +264,6 @@ class SynopsisKernel:
 
         Returns ``{"tags": ..., "pairs": ...}`` counts.
         """
-        if not self.eligible:
-            raise ValueError(
-                "kernel for %r is not eligible for full compilation "
-                "(depth-refined statistics)" % (self.name,)
-            )
         for tag in sorted(self.provider.tags()):
             self.tag_table(tag, tracer)
         known = set(self._tags)
@@ -297,23 +296,32 @@ class SynopsisKernel:
         return False
 
     def _build_tag_table(self, tag: str) -> TagTable:
-        pairs = list(self.provider.frequency_pairs(tag))
+        provider = self.provider
+        pairs = list(provider.frequency_pairs(tag))
         pids = tuple(pid for pid, _ in pairs)
         freqs = array("d", (freq for _, freq in pairs))
         index_of = {pid: i for i, pid in enumerate(pids)}
-        table = self.table
-        depth_sets = [table.tag_depths(tag, pid) for pid in pids]
-        depth_count = max((ds[-1] for ds in depth_sets if ds), default=-1) + 1
-        init: List[int] = [0] * depth_count
+        feasible_at = _depth_bitsets(
+            [self.table.tag_depths(tag, pid) for pid in pids]
+        )
+        refined = getattr(provider, "depth_frequency_map", None)
+        if refined is None:
+            init_at, depth_freqs = feasible_at, None
+        else:
+            # Depth-refined statistics: seed from the depths the ids
+            # really occur at, and keep their per-depth frequencies.
+            per_pid = refined(tag)
+            depth_freqs = tuple(per_pid.get(pid) or None for pid in pids)
+            init_at = _depth_bitsets(
+                [sorted(depths) if depths else () for depths in depth_freqs]
+            )
         alive_mask = 0
-        for i, ds in enumerate(depth_sets):
-            if not ds:
-                continue
-            bit = 1 << i
-            alive_mask |= bit
-            for depth in ds:
-                init[depth] |= bit
-        return TagTable(tag, pids, freqs, index_of, tuple(init), alive_mask)
+        for mask in init_at:
+            alive_mask |= mask
+        return TagTable(
+            tag, pids, freqs, index_of, init_at, alive_mask,
+            feasible_at=feasible_at, depth_freqs=depth_freqs,
+        )
 
     def _build_pair(
         self, upper: TagTable, lower: TagTable, child: bool
@@ -361,12 +369,16 @@ class SynopsisKernel:
         return plan
 
     def join(self, query: Query, provider=None, tracer=NULL_TRACER,
-             max_rounds: int = 64):
+             max_rounds: int = 64, fixpoint: bool = True,
+             depth_consistent: bool = True):
         """Bitset path join; see :func:`repro.kernel.join.kernel_join`."""
         from repro.kernel.join import kernel_join
 
-        return kernel_join(self, query, provider=provider, tracer=tracer,
-                           max_rounds=max_rounds)
+        return kernel_join(
+            self, query, provider=provider, tracer=tracer,
+            max_rounds=max_rounds, fixpoint=fixpoint,
+            depth_consistent=depth_consistent,
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -381,7 +393,6 @@ class SynopsisKernel:
             )
             return {
                 "joins": self.joins,
-                "fallbacks": self.fallbacks,
                 "tag_tables": len(self._tags),
                 "pairs": len(self._pairs),
                 "plans": len(self._plans),
@@ -398,3 +409,80 @@ class SynopsisKernel:
             self.name, len(self._tags), len(self._pairs),
             " INVALIDATED" if self.invalidated else "",
         )
+
+
+def _depth_bitsets(depth_sets: List[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """One bitset per depth: bit *i* set ⟺ depth in ``depth_sets[i]``."""
+    depth_count = max((ds[-1] for ds in depth_sets if ds), default=-1) + 1
+    masks: List[int] = [0] * depth_count
+    for i, ds in enumerate(depth_sets):
+        bit = 1 << i
+        for depth in ds:
+            masks[depth] |= bit
+    return tuple(masks)
+
+
+# ----------------------------------------------------------------------
+# The live kernel of each provider
+# ----------------------------------------------------------------------
+
+_LIVE: "weakref.WeakKeyDictionary[object, SynopsisKernel]" = (
+    weakref.WeakKeyDictionary()
+)
+_LIVE_LOCK = threading.Lock()
+
+
+def _statistics(provider: object) -> object:
+    """The provider a kernel is keyed by (tracing wrappers unwrapped)."""
+    if isinstance(provider, TracingPathStats):
+        return provider._inner
+    return provider
+
+
+def peek_kernel(provider: object, table: EncodingTable) -> Optional[SynopsisKernel]:
+    """The attached kernel of (provider, table), or ``None`` — never
+    compiles."""
+    kernel = _LIVE.get(_statistics(provider))
+    if kernel is None or kernel.table is not table:
+        return None
+    return kernel
+
+
+def live_kernel(
+    provider: object, table: EncodingTable, name: str = ""
+) -> SynopsisKernel:
+    """The kernel every join over (provider, table) runs on.
+
+    Compiles (lazily — only the empty shell here) when none is attached,
+    when the attached one was invalidated, or when it was built for
+    another encoding table.
+    """
+    statistics = _statistics(provider)
+    kernel = _LIVE.get(statistics)
+    if kernel is None or kernel.invalidated or kernel.table is not table:
+        with _LIVE_LOCK:
+            kernel = _LIVE.get(statistics)
+            if kernel is None or kernel.invalidated or kernel.table is not table:
+                kernel = SynopsisKernel(table, statistics, name=name)
+                _LIVE[statistics] = kernel
+    return kernel
+
+
+def adopt_kernel(kernel: SynopsisKernel) -> None:
+    """Attach a pre-built kernel to its provider, invalidating the
+    kernel it replaces."""
+    with _LIVE_LOCK:
+        previous = _LIVE.get(kernel.provider)
+        _LIVE[kernel.provider] = kernel
+    if previous is not None and previous is not kernel:
+        previous.invalidate()
+
+
+def drop_kernel(provider: object) -> Optional[SynopsisKernel]:
+    """Detach and invalidate the provider's kernel; returns it (or
+    ``None`` when none was attached).  The next join compiles afresh."""
+    with _LIVE_LOCK:
+        kernel = _LIVE.pop(_statistics(provider), None)
+    if kernel is not None:
+        kernel.invalidate()
+    return kernel

@@ -1,14 +1,27 @@
 """The bitset path join over a compiled :class:`SynopsisKernel`.
 
-Semantically identical to the depth-consistent fixpoint of
-:func:`repro.core.pathjoin._depth_join` — same per-constraint pruning
-rule, same forward+backward schedule with per-node version counters,
-same early exits — but the per-node state is one Python-int bitset per
-depth instead of a dict of pid → depth-set, and each pruning step is an
-AND against a memoized OR of containment-matrix rows.  Both paths
-converge to the same (unique) arc-consistent fixpoint, and frequencies
-are summed over indexes in provider order, so estimates agree with the
-legacy path bit for bit.
+The one engine behind :func:`repro.core.pathjoin.path_join`.  The
+per-node state is one Python-int bitset per depth, and each pruning step
+is an AND against a memoized OR of containment-matrix rows.  All four
+(``fixpoint``, ``depth_consistent``) modes run here:
+
+* **Depth-consistent fixpoint** (the default): forward+backward sweeps
+  with per-node version counters until nothing changes — the unique
+  arc-consistent fixpoint.
+* **Single pass** (``fixpoint=False``): a static pre-pass first drops
+  every placement that no placement of its neighbour's *starting* pid
+  set could support (at any depth the encoding table allows), then one
+  forward sweep runs.  Without the pre-pass a single sweep prunes less.
+* **Pairwise** (``depth_consistent=False``): one bitset per node over
+  every provider pid (ids without a feasible depth included), the upper
+  side of each constraint pruned before the lower; ``depths()`` is
+  empty.
+
+Depth-refined statistics seed the depth-consistent modes from the
+empirical depths, and a node whose placements were pruned re-sums its
+per-depth frequencies over the surviving depths.  Frequencies are summed
+over indexes in provider order, so every mode reproduces the dict-based
+reference join of the test suite bit for bit.
 """
 
 from __future__ import annotations
@@ -29,10 +42,11 @@ class QueryPlan:
 
     ``node_tables[node_id]`` is the node's interned tag table;
     ``steps`` holds ``(upper_id, lower_id, child?, containment pair)``
-    in :func:`derive_constraints` order.
+    in :func:`derive_constraints` order; ``refined`` is True when some
+    node carries depth-refined frequencies.
     """
 
-    __slots__ = ("node_tables", "steps")
+    __slots__ = ("node_tables", "steps", "refined")
 
     def __init__(
         self,
@@ -41,6 +55,7 @@ class QueryPlan:
     ):
         self.node_tables = node_tables
         self.steps = steps
+        self.refined = any(table.depth_freqs is not None for table in node_tables)
 
 
 def build_query_plan(
@@ -59,18 +74,27 @@ def build_query_plan(
 class KernelJoinResult(JoinResult):
     """Join result backed by bitset states; same reading API as
     :class:`~repro.core.pathjoin.JoinResult`, materialized on demand in
-    ascending index (= provider) order."""
+    ascending index (= provider) order.
+
+    ``states`` is ``None`` for an empty join.  ``depthless`` marks a
+    pairwise result (one mask per node, no depths); ``resum[node_id]``
+    is True for depth-refined nodes whose placements were pruned, whose
+    frequencies are re-summed over the surviving depths.
+    """
 
     def __init__(
         self,
         query: Query,
         tables: Tuple[TagTable, ...],
         states: Optional[List[List[int]]],
+        depthless: bool = False,
+        resum: Optional[List[bool]] = None,
     ):
         self.query = query
         self._tables = tables
-        # None encodes the legacy all-empty result (some node died).
         self._states = states
+        self._depthless = depthless
+        self._resum = resum
         # Per-node OR of the depth masks; the states are frozen once the
         # fixpoint converges, so the fold is computed at most once per
         # node and shared by every reader.
@@ -88,12 +112,29 @@ class KernelJoinResult(JoinResult):
             self._alive[node_id] = mask
         return mask
 
+    def _freqs(self, node_id: int):
+        """Index -> frequency for one node's surviving indexes."""
+        compiled = self._tables[node_id]
+        if self._resum is None or not self._resum[node_id]:
+            return compiled.freqs
+        # Per-depth frequencies are counts, so the re-sum is exact in
+        # any depth order.
+        depth_freqs = compiled.depth_freqs
+        sums: Dict[int, float] = {}
+        for depth, mask in enumerate(self._states[node_id]):
+            while mask:
+                low = mask & -mask
+                index = low.bit_length() - 1
+                sums[index] = sums.get(index, 0.0) + depth_freqs[index].get(depth, 0.0)
+                mask ^= low
+        return sums
+
     def pids(self, node: QueryNode) -> Dict[int, float]:
         out: Dict[int, float] = {}
         if self._states is None:
             return out
-        compiled = self._tables[node.node_id]
-        pids, freqs = compiled.pids, compiled.freqs
+        pids = self._tables[node.node_id].pids
+        freqs = self._freqs(node.node_id)
         alive = self._alive_mask(node.node_id)
         while alive:
             low = alive & -alive
@@ -104,11 +145,10 @@ class KernelJoinResult(JoinResult):
 
     def depths(self, node: QueryNode) -> Dict[int, Set[int]]:
         out: Dict[int, Set[int]] = {}
-        if self._states is None:
+        if self._states is None or self._depthless:
             return out
-        compiled = self._tables[node.node_id]
         state = self._states[node.node_id]
-        pids = compiled.pids
+        pids = self._tables[node.node_id].pids
         # One pass over the depth masks, scattering set bits into the
         # per-pid depth sets — instead of re-scanning enumerate(state)
         # once per surviving pid.
@@ -127,11 +167,10 @@ class KernelJoinResult(JoinResult):
     def frequency(self, node: QueryNode) -> float:
         if self._states is None:
             return 0.0
-        compiled = self._tables[node.node_id]
-        freqs = compiled.freqs
+        freqs = self._freqs(node.node_id)
         alive = self._alive_mask(node.node_id)
-        # Ascending index order == the legacy dict's insertion order, so
-        # the float sum is associativity-identical to the legacy path.
+        # Ascending index order == the provider's order, so the float
+        # sum is associativity-identical to a dict sum over the pids.
         total = 0.0
         while alive:
             low = alive & -alive
@@ -167,93 +206,164 @@ def kernel_join(
     provider=None,
     tracer=NULL_TRACER,
     max_rounds: int = 64,
+    fixpoint: bool = True,
+    depth_consistent: bool = True,
 ) -> KernelJoinResult:
-    """Depth-consistent fixpoint join on compiled bitsets."""
+    """The path join on compiled bitsets, in any of its four modes."""
     kernel.joins += 1
     with tracer.aggregate("join") as join_span:
         plan = kernel.query_plan(query, tracer)
         tables = plan.node_tables
-        traced = tracer.enabled
-        states: List[List[int]] = []
         with tracer.aggregate("pathid-match") as match_span:
-            for node, compiled in zip(query.nodes(), tables):
-                if traced and provider is not None:
-                    # Surface the same p-histogram lookup traffic a
-                    # traced legacy join would (the tracing provider
-                    # counts cells/buckets as a side effect).
-                    provider.frequency_pairs(node.tag)
-                states.append(list(compiled.init_at))
-                match_span.incr("pids_matched", compiled.alive_count)
+            if depth_consistent:
+                states = [list(compiled.init_at) for compiled in tables]
+            else:
+                states = [[(1 << len(compiled.pids)) - 1] for compiled in tables]
+            if tracer.enabled:
+                for node, compiled in zip(query.nodes(), tables):
+                    if provider is not None:
+                        # Surface the p-histogram lookup traffic of the
+                        # join's reads (the tracing provider counts
+                        # cells/buckets as a side effect).
+                        provider.frequency_pairs(node.tag)
+                    match_span.incr(
+                        "pids_matched",
+                        compiled.alive_count if depth_consistent
+                        else len(compiled.pids),
+                    )
 
         if query.root_axis is QueryAxis.CHILD:
             root_id = query.root.node_id
             root_state = states[root_id]
-            if root_state:
+            if not depth_consistent:
+                feasible = tables[root_id].feasible_at
+                states[root_id] = [feasible[0] if feasible else 0]
+            elif root_state:
                 states[root_id] = [root_state[0]] + [0] * (len(root_state) - 1)
 
-        steps = plan.steps
-        empty = False
+        resum_check = depth_consistent and plan.refined
+        start = states[:] if resum_check else None
         with tracer.aggregate("bitset_join") as bitset_span:
-            bitset_span.incr("constraints", len(steps))
-            if steps:
-                schedule = steps + tuple(reversed(steps))
-                version = [0] * len(states)
-                last_seen: List[Tuple[int, int]] = [(-1, -1)] * len(schedule)
-                for _ in range(max_rounds):
-                    join_span.incr("rounds")
-                    changed = False
-                    for index, (uid, lid, child, pair) in enumerate(schedule):
-                        if last_seen[index] == (version[uid], version[lid]):
-                            continue
-                        upper_changed, lower_changed = _apply_step(
-                            states, uid, lid, child, pair
-                        )
-                        if upper_changed:
-                            version[uid] += 1
-                            changed = True
-                        if lower_changed:
-                            version[lid] += 1
-                            changed = True
-                        last_seen[index] = (version[uid], version[lid])
-                        if (upper_changed and not any(states[uid])) or (
-                            lower_changed and not any(states[lid])
-                        ):
-                            empty = True
-                            break
-                    if empty or not changed:
-                        break
+            bitset_span.incr("constraints", len(plan.steps))
+            if depth_consistent:
+                empty = _depth_rounds(states, plan, fixpoint, max_rounds, join_span)
             else:
-                join_span.incr("rounds")
-        if not empty:
-            empty = any(not any(state) for state in states)
-        result = KernelJoinResult(query, tables, None if empty else states)
+                rounds = max_rounds if fixpoint else 1
+                empty = _pairwise_rounds(states, plan.steps, rounds, join_span)
+        if empty or any(not any(state) for state in states):
+            result = KernelJoinResult(query, tables, None)
+        else:
+            resum = None
+            if resum_check:
+                # Copy-on-write states: a pruned node holds a new list.
+                resum = [
+                    compiled.depth_freqs is not None and state is not first
+                    for compiled, state, first in zip(tables, states, start)
+                ]
+            result = KernelJoinResult(
+                query, tables, states, depthless=not depth_consistent, resum=resum
+            )
         join_span.incr("surviving_pids", result.survivor_count())
     return result
 
 
-def _apply_step(
+def _depth_rounds(
     states: List[List[int]],
-    upper_id: int,
-    lower_id: int,
+    plan: QueryPlan,
+    fixpoint: bool,
+    max_rounds: int,
+    join_span,
+) -> bool:
+    """Depth-consistent pruning in place; True when some node died."""
+    steps = plan.steps
+    if not steps:
+        join_span.incr("rounds")
+        return False
+    if fixpoint:
+        schedule = steps + tuple(reversed(steps))
+        rounds = max_rounds
+    else:
+        if _static_prepass(states, plan):
+            return True
+        schedule = steps
+        rounds = 1
+    version = [0] * len(states)
+    last_seen: List[Tuple[int, int]] = [(-1, -1)] * len(schedule)
+    for _ in range(rounds):
+        join_span.incr("rounds")
+        changed = False
+        for index, (uid, lid, child, pair) in enumerate(schedule):
+            if last_seen[index] == (version[uid], version[lid]):
+                continue
+            upper = states[uid]
+            lower = states[lid]
+            new_upper, new_lower = _prune_step(upper, lower, child, pair, upper)
+            if new_lower is not lower:
+                states[lid] = new_lower
+                version[lid] += 1
+                changed = True
+                if not any(new_lower):
+                    return True
+            if new_upper is not upper:
+                states[uid] = new_upper
+                version[uid] += 1
+                changed = True
+                if not any(new_upper):
+                    return True
+            last_seen[index] = (version[uid], version[lid])
+        if not changed:
+            break
+    return False
+
+
+def _static_prepass(states: List[List[int]], plan: QueryPlan) -> bool:
+    """Drop placements no starting placement of a neighbour supports.
+
+    Each node's *static* placements are its starting pid set at every
+    depth the encoding table allows; every constraint restricts both of
+    its sides against the other side's static placements (all computed
+    before any restriction).  True when some node died.
+    """
+    static = []
+    for compiled, state in zip(plan.node_tables, states):
+        seeded = 0
+        for mask in state:
+            seeded |= mask
+        static.append([mask & seeded for mask in compiled.feasible_at])
+    for uid, lid, child, pair in plan.steps:
+        upper, lower = _prune_step(
+            states[uid], states[lid], child, pair, static[uid], static[lid]
+        )
+        states[uid], states[lid] = upper, lower
+        if not any(lower) or not any(upper):
+            return True
+    return False
+
+
+def _prune_step(
+    upper: List[int],
+    lower: List[int],
     child: bool,
     pair,
-) -> Tuple[bool, bool]:
-    """Prune both sides of one constraint (bitset counterpart of
-    :func:`repro.core.pathjoin._apply_depth_constraint`).
+    upper_support: List[int],
+    lower_support: Optional[List[int]] = None,
+) -> Tuple[List[int], List[int]]:
+    """Prune both sides of one constraint; returns (new upper, new lower).
 
-    Lower placements read the *current* upper state, upper placements the
-    *new* lower state, matching the legacy sweep exactly.
+    Lower index j survives at depth dl iff some compatible upper index is
+    set in ``upper_support`` at dl-1 (child) / any depth < dl
+    (descendant); then upper index i survives at depth du iff some
+    compatible lower index is set in ``lower_support`` — by default the
+    *new* lower state — at du+1 / any depth > du.  Copy-on-write: an
+    unpruned side is returned as the same list.
     """
-    upper = states[upper_id]
-    lower = states[lower_id]
     down_rows, up_rows = pair.down, pair.up
     down_memo, up_memo = pair.down_memo, pair.up_memo
     upper_len = len(upper)
     lower_len = len(lower)
+    support_len = upper_len if upper_support is upper else len(upper_support)
 
-    # Lower side: index j stays alive at depth dl iff some compatible
-    # upper index is alive at dl-1 (child) / any depth < dl (descendant).
-    lower_changed = False
+    # Lower side.
     new_lower = lower
     if child:
         for dl in range(lower_len):
@@ -261,19 +371,18 @@ def _apply_step(
             if not alive:
                 continue
             du = dl - 1
-            bits = upper[du] if 0 <= du < upper_len else 0
+            bits = upper_support[du] if 0 <= du < support_len else 0
             kept = alive & or_rows(down_rows, bits, down_memo) if bits else 0
             if kept != alive:
                 if new_lower is lower:
                     new_lower = lower[:]
                 new_lower[dl] = kept
-                lower_changed = True
     else:
         below = 0
         for dl in range(lower_len):
             du = dl - 1
-            if 0 <= du < upper_len:
-                below |= upper[du]
+            if 0 <= du < support_len:
+                below |= upper_support[du]
             alive = lower[dl]
             if not alive:
                 continue
@@ -282,10 +391,12 @@ def _apply_step(
                 if new_lower is lower:
                     new_lower = lower[:]
                 new_lower[dl] = kept
-                lower_changed = True
 
-    # Upper side, against the new lower state.
-    upper_changed = False
+    # Upper side.
+    if lower_support is None:
+        lower_support, support_len = new_lower, lower_len
+    else:
+        support_len = len(lower_support)
     new_upper = upper
     if child:
         for du in range(upper_len):
@@ -293,21 +404,20 @@ def _apply_step(
             if not alive:
                 continue
             dl = du + 1
-            bits = new_lower[dl] if dl < lower_len else 0
+            bits = lower_support[dl] if dl < support_len else 0
             kept = alive & or_rows(up_rows, bits, up_memo) if bits else 0
             if kept != alive:
                 if new_upper is upper:
                     new_upper = upper[:]
                 new_upper[du] = kept
-                upper_changed = True
     else:
         above = 0
-        for depth in range(upper_len + 1, lower_len):
-            above |= new_lower[depth]
+        for depth in range(upper_len + 1, support_len):
+            above |= lower_support[depth]
         for du in range(upper_len - 1, -1, -1):
             dl = du + 1
-            if dl < lower_len:
-                above |= new_lower[dl]
+            if dl < support_len:
+                above |= lower_support[dl]
             alive = upper[du]
             if not alive:
                 continue
@@ -316,10 +426,32 @@ def _apply_step(
                 if new_upper is upper:
                     new_upper = upper[:]
                 new_upper[du] = kept
-                upper_changed = True
+    return new_upper, new_lower
 
-    if lower_changed:
-        states[lower_id] = new_lower
-    if upper_changed:
-        states[upper_id] = new_upper
-    return upper_changed, lower_changed
+
+def _pairwise_rounds(
+    states: List[List[int]], steps, rounds: int, join_span
+) -> bool:
+    """Pid-level pairwise pruning in place (the paper's literal test:
+    containment on any one path, no depths); True when some node died."""
+    masks = [state[0] for state in states]
+    for _ in range(rounds):
+        join_span.incr("rounds")
+        changed = False
+        for uid, lid, _child, pair in steps:
+            upper, lower = masks[uid], masks[lid]
+            if not upper or not lower:
+                return True
+            kept_upper = upper & or_rows(pair.up, lower, pair.up_memo)
+            kept_lower = (
+                lower & or_rows(pair.down, kept_upper, pair.down_memo)
+                if kept_upper else 0
+            )
+            if kept_upper != upper or kept_lower != lower:
+                changed = True
+                masks[uid] = kept_upper
+                masks[lid] = kept_lower
+        if not changed:
+            break
+    states[:] = [[mask] for mask in masks]
+    return False

@@ -13,11 +13,11 @@ the counters the paper's cost model cares about:
 * ``buckets_scanned`` — histogram buckets backing those reads (0 for the
   exact-table providers, which have no buckets).
 
-The wrappers are allocated per traced request and deliberately carry
-``__slots__``: the path join's per-provider init cache
-(:func:`repro.core.pathjoin._initial_state`) probes ``setattr`` and
-skips caching on slotted objects, so traced requests observe the *real*
-lookup traffic instead of a warm cache's.
+The wrappers are allocated per traced request and carry ``__slots__``.
+The path join runs on the compiled kernel of the *wrapped* provider
+(:func:`repro.kernel.live_kernel` unwraps them), and a traced join reads
+each query node's pairs through the wrapper, so traced requests report
+the lookup traffic of the join's reads while sharing the warm kernel.
 
 Untraced requests never see these classes — the trace-off fast path uses
 the raw providers and :data:`~repro.obs.trace.NULL_TRACER`.
@@ -70,9 +70,8 @@ class TracingPathStats:
 
     def __getattr__(self, name: str):
         # Forward introspection (histogram(), depth_frequency_map, ...)
-        # so the wrapper is substitutable anywhere the inner provider is.
-        # Private state (the join init cache above all) is NOT forwarded:
-        # a traced request must observe real lookups, not a warm cache.
+        # so the wrapper is substitutable anywhere the inner provider is;
+        # private attributes stay the wrapper's own.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._inner, name)

@@ -105,13 +105,7 @@ class CostModel:
         """Total frequency of ``tag`` in the synopsis (memoized)."""
         cached = self._tag_totals.get(tag)
         if cached is None:
-            kernel = self.system.kernel() if self.system.kernel_active() else None
-            if kernel is not None:
-                cached = kernel.tag_total(tag)
-            else:
-                cached = float(
-                    sum(f for _, f in self.system.path_provider.frequency_pairs(tag))
-                )
+            cached = self.system.kernel().tag_total(tag)
             self._tag_totals[tag] = cached
         return cached
 

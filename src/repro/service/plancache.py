@@ -39,7 +39,7 @@ _DEFAULT_FINGERPRINT = options_fingerprint(True, True)
 class CompiledPlan:
     """A query compiled against one synopsis generation."""
 
-    __slots__ = ("text", "query", "route", "variants", "kernel", "result", "canonical")
+    __slots__ = ("text", "query", "route", "variants", "result", "canonical")
 
     def __init__(
         self,
@@ -47,15 +47,11 @@ class CompiledPlan:
         query: Query,
         route: str,
         variants: Optional[List[Tuple[Query, str]]] = None,
-        kernel: bool = False,
     ):
         self.text = text
         self.query = query
         self.route = route
         self.variants = variants
-        # True when the plan was compiled against a live synopsis kernel
-        # (its no-order joins were pre-planned on the bitset path).
-        self.kernel = kernel
         # Lazily memoized estimate; estimation is deterministic for a
         # fixed synopsis generation, and the cache key pins the
         # generation, so the first computed value is the value.
@@ -91,7 +87,7 @@ class CompiledPlan:
         if value is not None:
             return value, True
         cache = system.semcache
-        read_through = cache.enabled and system.kernel_enabled
+        read_through = cache.enabled
         if read_through:
             hit, value = cache.get(self.canonical, _DEFAULT_FINGERPRINT)
             if hit:
@@ -125,31 +121,26 @@ class CompiledPlan:
 def compile_plan(system: EstimationSystem, text: str) -> CompiledPlan:
     """Parse, route and (for scoped axes) pre-rewrite one query text.
 
-    When the synopsis carries a compiled kernel, the plan's no-order
-    targets are pre-planned on the kernel (tag tables, containment pairs
-    and the per-query bitset plan are built now, off the hot path), and
-    the plan records that it was compiled against the kernel.
+    The plan's no-order targets are pre-planned on the synopsis kernel
+    (tag tables, containment pairs and the per-query bitset plan are
+    built now, off the hot path).
     """
     query = parse_query_cached(text)
     route = system.select_route(query)
-    kernel = system.kernel()
     variants: Optional[List[Tuple[Query, str]]] = None
     if route == ROUTE_SCOPED:
         variants = [
             (variant, system.select_route(variant))
             for variant in rewrite_scoped_order_query(
-                query, system.path_provider, system.encoding_table, kernel=kernel
+                query, system.path_provider, system.encoding_table
             )
         ]
-    kernel_ready = kernel is not None and kernel.supports(
-        system.path_provider, system.encoding_table
-    )
-    if kernel_ready:
-        targets = variants if variants is not None else [(query, route)]
-        for target, target_route in targets:
-            if target_route == ROUTE_NO_ORDER:
-                kernel.query_plan(target)
-    return CompiledPlan(text, query, route, variants, kernel=kernel_ready)
+    kernel = system.kernel()
+    targets = variants if variants is not None else [(query, route)]
+    for target, target_route in targets:
+        if target_route == ROUTE_NO_ORDER:
+            kernel.query_plan(target)
+    return CompiledPlan(text, query, route, variants)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class LiveSynopsis:
         )
         if previous is not None:
             # The replaced system's compiled kernel describes statistics
-            # that no longer serve; captured references must fall back.
+            # that no longer serve; detach it so no join runs on it.
             previous.invalidate_kernel()
         return self.system
 

@@ -152,26 +152,6 @@ def error_body(kind: str, message: str, **extra: Any) -> Dict[str, Any]:
     return {"error": error}
 
 
-def _trace_used_kernel(trace: Optional[Dict[str, Any]]) -> bool:
-    """True when the span tree contains a ``bitset_join`` span.
-
-    Traced requests bypass the compiled plan's memo, so the only honest
-    answer to "did the kernel serve this?" is whether the re-execution
-    actually went down the bitset path.
-    """
-    if not isinstance(trace, dict):
-        return False
-    stack = [trace.get("root")]
-    while stack:
-        span = stack.pop()
-        if not isinstance(span, dict):
-            continue
-        if span.get("name") == "bitset_join":
-            return True
-        stack.extend(span.get("children", ()))
-    return False
-
-
 class EstimationService:
     """Registry + plan cache + metrics behind one estimate() entry point.
 
@@ -361,11 +341,11 @@ class EstimationService:
 
         A traced call bypasses the memoized plan result and re-executes
         with ``EstimateOptions(trace=True)`` so the returned span tree
-        (parse → plan → lookups → join) reflects a real execution; its
-        ``kernel`` field reports whether that execution actually took the
-        bitset path (a ``bitset_join`` span in the trace).
+        (parse → plan → lookups → join) reflects a real execution.  Every
+        join runs on the compiled kernel, so the ``kernel`` field is
+        always true.
 
-        ``memo`` is a batch-local ``key -> (value, route, kernel)`` map
+        ``memo`` is a batch-local ``key -> (value, route)`` map
         keyed by both exact text and the plan's canonical semantic key:
         within one batch request, repeated texts reuse the first
         computed value without re-entering the plan cache, equivalent-
@@ -402,26 +382,25 @@ class EstimationService:
             traced = entry.system.estimate(
                 text, options=EstimateOptions(trace=True)
             )
-            kernel_used = _trace_used_kernel(traced.trace)
             result = EstimateResult(
                 value=traced.value,
                 query=text,
                 route=traced.route,
                 elapsed_ms=traced.elapsed_ms,
                 trace=traced.trace,
-                kernel=kernel_used,
+                kernel=True,
                 tier=tier,
                 cache={"plan": False, "result": False},
             )
         elif memo is not None and text in memo:
-            value, route, kernel_used = memo[text]
+            value, route = memo[text]
             self.metrics.incr("semcache_hits_total")
             result = EstimateResult(
                 value=value,
                 query=text,
                 route=route,
                 elapsed_ms=0.0,
-                kernel=kernel_used,
+                kernel=True,
                 tier=tier,
                 cache={"plan": True, "result": True},
             )
@@ -433,21 +412,20 @@ class EstimationService:
             if memo is not None and plan.canonical in memo:
                 # Within-batch CSE: a differently-written equivalent of
                 # this query already ran in this batch.
-                value, route, kernel_used = memo[plan.canonical]
+                value, route = memo[plan.canonical]
                 self.metrics.incr("semcache_hits_total")
                 result = EstimateResult(
                     value=value,
                     query=text,
                     route=route,
                     elapsed_ms=0.0,
-                    kernel=kernel_used,
+                    kernel=True,
                     tier=tier,
                     cache={"plan": hit, "result": True},
                 )
             else:
                 started = time.perf_counter()
                 value, result_hit = plan.execute_cached(entry.system)
-                kernel_used = bool(plan.kernel) and entry.system.kernel_active()
                 self.metrics.incr(
                     "semcache_hits_total" if result_hit
                     else "semcache_misses_total"
@@ -457,17 +435,13 @@ class EstimationService:
                     query=text,
                     route=plan.route,
                     elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                    kernel=kernel_used,
+                    kernel=True,
                     tier=tier,
                     cache={"plan": hit, "result": result_hit},
                 )
                 if memo is not None:
-                    memo[text] = memo[plan.canonical] = (
-                        value, plan.route, kernel_used,
-                    )
-        self.metrics.incr(
-            "kernel_hits_total" if kernel_used else "kernel_misses_total"
-        )
+                    memo[text] = memo[plan.canonical] = (value, plan.route)
+        self.metrics.incr("kernel_hits_total")
         if slowlog:
             self.slow_log.observe(
                 query=text,
@@ -805,8 +779,8 @@ class EstimationService:
         server *is* serving, just not the newest synopsis.
 
         ``kernels`` maps each synopsis to its compiled-kernel readiness
-        (``ready`` / ``pending`` / ``stale`` / ``disabled`` /
-        ``unsupported``) *without* triggering a compile, so a load
+        (``ready`` / ``pending`` / ``stale``) *without* triggering a
+        compile, so a load
         balancer can tell a warmed-up instance from one that would pay
         the build cost on its next estimate.  Under a worker pool the
         reply also carries per-worker ``{pid, generation, alive}`` from
@@ -882,9 +856,7 @@ class EstimationService:
         """
         totals: Dict[str, Any] = {
             "synopses": 0,
-            "active": 0,
             "joins": 0,
-            "fallbacks": 0,
             "tag_tables": 0,
             "pairs": 0,
             "plans": 0,
@@ -904,15 +876,9 @@ class EstimationService:
                 if kernel_of is None:
                     continue
                 totals["synopses"] += 1
-                kernel = kernel_of()
-                if kernel is None:
-                    continue
-                stats = kernel.stats()
-                if system.kernel_active():
-                    totals["active"] += 1
+                stats = kernel_of().stats()
                 for key in (
-                    "joins", "fallbacks", "tag_tables", "pairs",
-                    "plans", "memo_entries",
+                    "joins", "tag_tables", "pairs", "plans", "memo_entries",
                 ):
                     totals[key] += stats[key]
                 totals["build_ms"] += stats["build_ms"]
@@ -1037,8 +1003,6 @@ class EstimationService:
             "shed_requests_total": gate["shed_total"],
             "reload_failures_total": getattr(self.registry, "reload_failures", 0),
             "kernel_joins_total": kernel["joins"],
-            "kernel_fallbacks_total": kernel["fallbacks"],
-            "kernel_active_synopses": kernel["active"],
             "kernel_build_ms_total": kernel["build_ms"],
         }
         if self.brownout is not None:

@@ -135,10 +135,6 @@ def pack_bytes(
         synopsis_text = persist.dumps(system)
     compile_system = persist.loads(synopsis_text)
     kernel = compile_system.kernel()
-    if kernel is None or not kernel.eligible:
-        raise KernelPackError(
-            "only kernel-eligible (histogram-backed) synopses can be packed"
-        )
     if not name:
         name = getattr(system, "name", "") or compile_system.name
     kernel.compile_full()
@@ -374,8 +370,8 @@ def _read_prologue(raw: bytes, path: str):
 class PackedKernel(SynopsisKernel):
     """A kernel whose tag tables and containment pairs come off a pack.
 
-    Same join machinery, plan cache, support memo and ``supports`` gating
-    as the in-process kernel — only the *compilation* step is replaced by
+    Same join machinery, plan cache and support memo as the in-process
+    kernel — only the *compilation* step is replaced by
     lazy decoding from the mapped buffers.  Tags or pairs a workload
     touches that the pack does not carry (a query over a tag pair that
     never co-occurs, a pack built by an older workload) fall back to

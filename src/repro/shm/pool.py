@@ -9,7 +9,7 @@ userspace proxy and no shared accept lock.
 
 The parent process never serves requests.  It:
 
-* **stages kernelpacks** — compiles each eligible ``*.json`` snapshot's
+* **stages kernelpacks** — compiles each loadable ``*.json`` snapshot's
   kernel once and writes ``<name>.kernelpack`` next to it
   (:func:`stage_packs`), so workers mmap instead of recompiling; the
   read-only file-backed mappings share physical pages across workers;
@@ -85,13 +85,13 @@ def pool_supported() -> bool:
 def stage_packs(
     snapshot_dir: str, force: bool = False, tracer=NULL_TRACER
 ) -> Dict[str, str]:
-    """Write/refresh ``<name>.kernelpack`` beside every eligible
+    """Write/refresh ``<name>.kernelpack`` beside every loadable
     ``<name>.json`` snapshot; returns name → ``"staged"`` / ``"fresh"`` /
     ``"skipped: <reason>"``.
 
     Staleness is by mtime: a pack at least as new as its snapshot is
-    left alone unless ``force``.  Ineligible synopses (no compiled-kernel
-    support) are skipped — the registry serves their JSON as before.
+    left alone unless ``force``.  Snapshots that fail to load or pack
+    are skipped — the registry serves their JSON as before.
     Pack writes are atomic, so concurrent readers never see a torn file.
     """
     results: Dict[str, str] = {}

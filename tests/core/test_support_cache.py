@@ -1,14 +1,20 @@
-"""Tests for the static support cache behind the depth-consistent join."""
+"""Tests for the static support cache of the dict-join oracle.
+
+:mod:`tests.pathjoin_oracle` keeps the original dict-of-sets join as the
+kernel's bit-identity reference; its support maps and cached initial
+state must stay correct for the oracle to be trusted.
+"""
 
 import pytest
 
-from repro.core.pathjoin import _SupportCache, path_join
+from repro.core.pathjoin import path_join
 from repro.core.providers import ExactPathStats
 from repro.pathenc import label_document
 from repro.pathenc.encoding import EncodingTable
 from repro.pathenc.relationship import Axis
 from repro.stats import collect_pathid_frequencies
 from repro.xpath import parse_query
+from tests.pathjoin_oracle import _SupportCache, oracle_join
 
 
 @pytest.fixture()
@@ -58,20 +64,29 @@ class TestSupportMaps:
 
 
 class TestJoinSharedStateSafety:
+    """Both engines share per-tag starting state across joins (the
+    oracle caches it on the provider, the kernel in its tag tables)."""
+
     def test_initial_state_not_mutated_by_joins(self, env, pid):
         provider, table = env
-        # A pruning join must not corrupt the provider's cached initial
-        # state for subsequent joins.
+        # A pruning join must not corrupt the cached initial state for
+        # subsequent joins.
         narrowing = parse_query("//A/C/F")
         wide = parse_query("//A")
-        first = path_join(narrowing, provider, table)
-        assert set(first.pids(narrowing.root)) == {pid[7]}
-        second = path_join(wide, provider, table)
-        assert set(second.pids(wide.root)) == {pid[6], pid[7], pid[8]}
+        for join in (oracle_join, path_join):
+            first = join(narrowing, provider, table)
+            assert set(first.pids(narrowing.root)) == {pid[7]}
+            second = join(wide, provider, table)
+            assert set(second.pids(wide.root)) == {pid[6], pid[7], pid[8]}
 
     def test_repeated_joins_are_deterministic(self, env):
         provider, table = env
         query = parse_query("//A[/C/F]/B/D")
-        results = [path_join(query, provider, table) for _ in range(3)]
-        for node in query.nodes():
-            assert results[0].pids(node) == results[1].pids(node) == results[2].pids(node)
+        for join in (oracle_join, path_join):
+            results = [join(query, provider, table) for _ in range(3)]
+            for node in query.nodes():
+                assert (
+                    results[0].pids(node)
+                    == results[1].pids(node)
+                    == results[2].pids(node)
+                )

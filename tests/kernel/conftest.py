@@ -2,7 +2,7 @@
 
 One estimation system + workload per dataset, package scoped: the
 equivalence tests sweep every workload class through both the kernel and
-the legacy join, so building the synopses once matters.
+the dict-join oracle, so building the synopses once matters.
 """
 
 from __future__ import annotations

@@ -1,17 +1,24 @@
-"""Kernel path vs legacy path: bit-for-bit equivalence on real workloads.
+"""Kernel vs the dict-join oracle: bit-for-bit equivalence on real workloads.
 
-The compiled kernel is a pure representation change — same fixpoint, same
-iteration order for every float sum — so estimates must be *identical*
-(``==``, not approx) across the full workload suite of all three
-datasets, at the estimate, trace and join-result levels.
+The compiled kernel is a pure representation change of the Section 4
+join — same pruning, same iteration order for every float sum — so
+estimates must be *identical* (``==``, not approx) to the oracle's
+(:mod:`tests.pathjoin_oracle`) across the full workload suite of all
+three datasets, in all four (``fixpoint``, ``depth_consistent``) modes,
+at the estimate, trace and join-result levels.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.options import EstimateOptions
 from repro.core.pathjoin import path_join
+from tests.pathjoin_oracle import oracle_join, oracle_joins
+
+MODES = [
+    {"fixpoint": fixpoint, "depth_consistent": depth_consistent}
+    for fixpoint in (True, False)
+    for depth_consistent in (True, False)
+]
 
 
 def _all_items(workload):
@@ -31,12 +38,20 @@ def _spans(trace):
         stack.extend(span.get("children", ()))
 
 
-def _legacy_estimates(system, items):
-    system.kernel_enabled = False
+def _uncached_estimates(system, items, **modes):
+    """Every item estimated for real (the semantic cache would otherwise
+    answer the oracle arm with the kernel arm's values)."""
+    saved = system.semcache.capacity, system.semcache.ttl_s
+    system.semcache.configure(0, None)
     try:
-        return [system.estimate(item.query) for item in items]
+        return [system.estimate(item.query, **modes) for item in items]
     finally:
-        system.kernel_enabled = True
+        system.semcache.configure(*saved)
+
+
+def _oracle_estimates(system, items, **modes):
+    with oracle_joins():
+        return _uncached_estimates(system, items, **modes)
 
 
 class TestEstimateEquivalence:
@@ -44,22 +59,27 @@ class TestEstimateEquivalence:
         for name, system, workload in kernel_envs:
             items = _all_items(workload)
             assert items, name
-            legacy = _legacy_estimates(system, items)
-            kernel = [system.estimate(item.query) for item in items]
-            mismatches = [
-                (item.text, lhs, rhs)
-                for item, lhs, rhs in zip(items, legacy, kernel)
-                if lhs != rhs
-            ]
-            assert mismatches == [], "%s: %d mismatches" % (name, len(mismatches))
+            for modes in MODES:
+                oracle = _oracle_estimates(system, items, **modes)
+                kernel = _uncached_estimates(system, items, **modes)
+                mismatches = [
+                    (item.text, lhs, rhs)
+                    for item, lhs, rhs in zip(items, oracle, kernel)
+                    if lhs != rhs
+                ]
+                assert mismatches == [], "%s %s: %d mismatches" % (
+                    name, modes, len(mismatches)
+                )
 
     def test_kernel_served_every_join(self, kernel_envs):
         for name, system, workload in kernel_envs:
-            for item in _all_items(workload):
-                system.estimate(item.query)
-            stats = system.kernel().stats()
-            assert stats["joins"] > 0, name
-            assert stats["fallbacks"] == 0, name
+            items = workload.no_order()[:20]
+            before = system.kernel().stats()["joins"]
+            for item in items:
+                for modes in MODES:
+                    system.join(item.query, **modes)
+            served = system.kernel().stats()["joins"] - before
+            assert served == len(items) * len(MODES), name
 
     def test_traced_executions_match_untraced(self, kernel_envs):
         name, system, workload = kernel_envs[0]
@@ -86,35 +106,30 @@ class TestEstimateEquivalence:
 class TestJoinEquivalence:
     def test_join_results_identical(self, kernel_envs):
         """pids (values *and* dict order), depths and frequencies agree
-        on every node of every order-free workload query."""
+        on every node of every order-free workload query, in every mode."""
         for name, system, workload in kernel_envs:
             provider, table = system.path_provider, system.encoding_table
-            kernel = system.kernel()
             for item in workload.no_order()[:80]:
-                legacy = path_join(item.query, provider, table)
-                compiled = path_join(
-                    item.query, provider, table, kernel=kernel
-                )
-                assert compiled.empty == legacy.empty, item.text
-                for node in item.query.nodes():
-                    lhs, rhs = legacy.pids(node), compiled.pids(node)
-                    assert rhs == lhs, item.text
-                    assert list(rhs) == list(lhs), item.text  # insertion order
-                    assert compiled.depths(node) == legacy.depths(node), item.text
-                    assert compiled.frequency(node) == legacy.frequency(node), item.text
+                for modes in MODES:
+                    oracle = oracle_join(item.query, provider, table, **modes)
+                    compiled = path_join(item.query, provider, table, **modes)
+                    where = (item.text, modes)
+                    assert compiled.empty == oracle.empty, where
+                    for node in item.query.nodes():
+                        lhs, rhs = oracle.pids(node), compiled.pids(node)
+                        assert rhs == lhs, where
+                        assert list(rhs) == list(lhs), where  # insertion order
+                        assert compiled.depths(node) == oracle.depths(node), where
+                        assert compiled.frequency(node) == oracle.frequency(node), where
 
     def test_ablations_fall_back_to_legacy(self, kernel_envs):
-        """The paper's ablation modes (no fixpoint / no depth filter) are
-        not compiled; the system must route them around the kernel."""
+        """The paper's ablation modes (no fixpoint / no depth filter) run
+        on the kernel too, and match the oracle's estimates."""
         name, system, workload = kernel_envs[0]
-        item = workload.branch[0]
-        for kwargs in ({"fixpoint": False}, {"depth_consistent": False}):
-            relaxed = system.estimate(item.query, **kwargs)
-            system.kernel_enabled = False
-            try:
-                assert relaxed == system.estimate(item.query, **kwargs)
-            finally:
-                system.kernel_enabled = True
+        items = workload.branch[:5]
+        for modes in ({"fixpoint": False}, {"depth_consistent": False}):
+            kernel = _uncached_estimates(system, items, **modes)
+            assert kernel == _oracle_estimates(system, items, **modes)
 
 
 class TestHistogramProviders:
@@ -129,7 +144,23 @@ class TestHistogramProviders:
             raw_simple=40, raw_branch=40, raw_order=50
         )
         items = _all_items(workload)
-        legacy = _legacy_estimates(system, items)
-        kernel = [system.estimate(item.query) for item in items]
-        assert legacy == kernel
-        assert system.kernel().stats()["fallbacks"] == 0
+        for modes in MODES:
+            oracle = _oracle_estimates(system, items, **modes)
+            assert _uncached_estimates(system, items, **modes) == oracle, modes
+
+    def test_depth_refined_synopsis_is_equivalent(self, xmark_small):
+        """Depth-refined statistics seed the kernel from empirical depths
+        and re-sum pruned pids' per-depth frequencies."""
+        from repro.core.system import EstimationSystem
+        from repro.workload import WorkloadGenerator
+
+        system = EstimationSystem.build(
+            xmark_small, use_histograms=False, depth_refined=True
+        )
+        workload = WorkloadGenerator(xmark_small, seed=13).full_workload(
+            raw_simple=40, raw_branch=40, raw_order=40
+        )
+        items = _all_items(workload)
+        for modes in MODES:
+            oracle = _oracle_estimates(system, items, **modes)
+            assert _uncached_estimates(system, items, **modes) == oracle, modes

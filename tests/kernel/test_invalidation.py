@@ -1,20 +1,25 @@
 """Stale-kernel guard: hot reloads and live appends must invalidate.
 
 A kernel compiled against a replaced synopsis must never serve again —
-captured references (in-flight joins, cached plans) fall back to the
-legacy path via ``supports()``.  The last-good degradation path keeps
-both the system *and* its warm kernel, because the synopsis it serves
-did not change.
+every join fetches the live kernel of its provider, so an invalidated
+kernel is never joined on; the next join compiles a fresh one.  The
+last-good degradation path keeps both the system *and* its warm kernel,
+because the synopsis it serves did not change.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
+import threading
 import time
+import weakref
 
 import pytest
 
 from repro import EstimationSystem, persist
+from repro.kernel import SynopsisKernel
 from repro.service import SynopsisRegistry
 from repro.xmltree.builder import el
 from repro.xmltree.document import XmlDocument
@@ -56,15 +61,13 @@ class TestHotReload:
         entry = registry.get("fig1")
         assert entry.system is not old_system
         assert old_kernel.invalidated
-        assert not old_kernel.supports(
-            old_system.path_provider, old_system.encoding_table
-        )
         # The replacement serves on its own fresh kernel.
         entry.system.estimate(QUERY)
-        assert entry.system.kernel_active()
-        # The detached old system still answers (legacy or rebuilt
-        # kernel), and identically to before.
+        assert entry.system.kernel_state() == "ready"
+        # The detached old system still answers, on a rebuilt kernel,
+        # and identically to before.
         assert old_system.estimate(QUERY) == value
+        assert old_system.kernel() is not old_kernel
 
     def test_last_good_fallback_keeps_kernel_warm(self, snapshot_dir):
         registry = SynopsisRegistry(str(snapshot_dir))
@@ -130,7 +133,7 @@ class TestLiveAppend:
         after = registry.get("lib")
         assert after.system is not system
         assert after.system.estimate("//rec/$author") == pytest.approx(4.0)
-        assert after.system.kernel_active()
+        assert after.system.kernel_state() == "ready"
 
     def test_failed_append_keeps_kernel(self):
         from repro.stats.maintenance import RequiresRebuild
@@ -155,15 +158,82 @@ class TestSystemLevel:
         assert kernel.invalidated
         assert figure1_system.invalidate_kernel() is False
         # A fresh kernel is compiled on demand afterwards.
+        assert figure1_system.kernel_state() == "pending"
         assert figure1_system.kernel() is not kernel
-        assert figure1_system.kernel_active()
+        assert figure1_system.kernel_state() == "ready"
 
-    def test_disabled_kernel_routes_legacy(self, figure1_system):
+
+class TestLiveKernelMap:
+    """The one owner of each provider's kernel (``repro.kernel.live_kernel``)."""
+
+    def test_adopt_kernel_rejects_foreign_kernels(self, figure1, figure1_system):
+        other = EstimationSystem.build(figure1, p_variance=0, o_variance=0)
+        with pytest.raises(ValueError):
+            figure1_system.adopt_kernel(other.kernel())  # another provider
+        with pytest.raises(ValueError):  # right provider, another table
+            figure1_system.adopt_kernel(
+                SynopsisKernel(other.encoding_table, figure1_system.path_provider)
+            )
+        stale = SynopsisKernel(
+            figure1_system.encoding_table, figure1_system.path_provider
+        )
+        stale.invalidate()
+        with pytest.raises(ValueError):
+            figure1_system.adopt_kernel(stale)
+
+    def test_adopted_kernel_serves_and_replaces_the_previous(self, figure1_system):
         value = figure1_system.estimate(QUERY)
-        figure1_system.kernel_enabled = False
+        previous = figure1_system.kernel()
+        adopted = SynopsisKernel(
+            figure1_system.encoding_table, figure1_system.path_provider
+        )
+        figure1_system.adopt_kernel(adopted)
+        assert previous.invalidated
+        assert figure1_system.kernel() is adopted
+        join = figure1_system.join(QUERY)
+        assert join.frequency(join.query.target) == value
+        assert adopted.stats()["joins"] == 1
+
+    def test_kernel_dies_with_its_provider(self, figure1):
+        system = EstimationSystem.build(figure1, p_variance=0, o_variance=0)
+        system.estimate(QUERY)
+        kernel = weakref.ref(system.kernel())
+        provider = weakref.ref(system.path_provider)
+        del system
+        gc.collect()
+        assert provider() is None
+        assert kernel() is None
+
+    def test_concurrent_joins_and_invalidations(self, figure1_system):
+        """Joins racing hot-reload style invalidations always run on a
+        live kernel and always return the same value."""
+        figure1_system.semcache.configure(0, None)
+        expected = figure1_system.estimate(QUERY)
+        values, errors = [], []
+
+        def estimate():
+            try:
+                for _ in range(150):
+                    values.append(figure1_system.estimate(QUERY))
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        def invalidate():
+            for _ in range(150):
+                figure1_system.invalidate_kernel()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            assert figure1_system.kernel() is None
-            assert not figure1_system.kernel_active()
-            assert figure1_system.estimate(QUERY) == value
+            threads = [threading.Thread(target=estimate) for _ in range(4)]
+            threads.append(threading.Thread(target=invalidate))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            figure1_system.kernel_enabled = True
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert values == [expected] * 600
+        assert not figure1_system.kernel().invalidated

@@ -1,0 +1,503 @@
+"""The dict-of-sets path join: the bit-identity oracle for the kernel.
+
+This is the original Section 4 join, kept verbatim as a reference
+implementation.  :func:`repro.core.pathjoin.path_join` always runs on the
+compiled bitset kernel (:mod:`repro.kernel`); the tests assert that the
+kernel reproduces this join exactly — surviving pids (and their dict
+order), depths, frequencies and emptiness — in all four
+(``fixpoint``, ``depth_consistent``) modes and for every provider kind.
+
+* :func:`oracle_join` has ``path_join``'s signature;
+* :func:`oracle_joins` routes every join of the estimator, ``explain``
+  and the structural-join processor through the oracle for the duration
+  of a ``with`` block, so whole estimates can be compared (turn the
+  system's semantic cache off first, or a cached kernel value answers).
+
+Nothing here is imported by ``src/``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import weakref
+from typing import Dict, List, Optional, Set, Tuple
+
+from repro.core.pathjoin import JoinResult, derive_constraints
+from repro.core.providers import PathStatsProvider
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
+from repro.pathenc.encoding import EncodingTable
+from repro.pathenc.relationship import Axis, pids_compatible
+from repro.xpath.ast import Query, QueryAxis
+
+__all__ = ["oracle_join", "oracle_joins"]
+
+#: Modules that bind ``path_join`` by name; :func:`oracle_joins` swaps
+#: the binding in each.
+_JOIN_CALLERS = (
+    "repro.core.noorder",
+    "repro.core.order",
+    "repro.core.axis_rewrite",
+    "repro.core.system",
+    "repro.core.explain",
+    "repro.queryproc.processor",
+)
+
+
+def oracle_join(
+    query: Query,
+    provider: PathStatsProvider,
+    table: EncodingTable,
+    fixpoint: bool = True,
+    depth_consistent: bool = True,
+    max_rounds: int = 64,
+    tracer=NULL_TRACER,
+) -> JoinResult:
+    """The dict pipeline, with ``path_join``'s signature."""
+    with tracer.aggregate("join") as span:
+        if depth_consistent:
+            result = _depth_join(
+                query, provider, table, fixpoint, max_rounds, tracer, span
+            )
+        else:
+            result = _pairwise_join(
+                query, provider, table, fixpoint, max_rounds, tracer, span
+            )
+        span.incr("surviving_pids", result.survivor_count())
+    return result
+
+
+@contextlib.contextmanager
+def oracle_joins():
+    """Serve every ``path_join`` call through :func:`oracle_join`."""
+    saved = []
+    for name in _JOIN_CALLERS:
+        module = importlib.import_module(name)
+        saved.append((module, module.path_join))
+        module.path_join = oracle_join
+    try:
+        yield
+    finally:
+        for module, original in saved:
+            module.path_join = original
+
+
+class _SupportCache:
+    """Per-document cache of static (pid, depth) support relations.
+
+    For a tag pair and axis, which upper (pid, depth) placements can
+    support which lower (pid, depth) placements is a property of the
+    encoding table alone — computed once, then every join constraint is a
+    set-membership sweep instead of an O(|pids|^2) subset scan.  Cached
+    per :class:`EncodingTable` (weakly, so documents can be collected).
+    """
+
+    _by_table: "weakref.WeakKeyDictionary[EncodingTable, Dict]" = (
+        weakref.WeakKeyDictionary()
+    )
+
+    @classmethod
+    def support(
+        cls,
+        table: EncodingTable,
+        upper_tag: str,
+        upper_pids: List[int],
+        lower_tag: str,
+        lower_pids: List[int],
+        child: bool,
+    ) -> Tuple[Dict[Tuple[int, int], Tuple[int, ...]], Dict[Tuple[int, int], Tuple[int, ...]]]:
+        """Support maps for one constraint.
+
+        Returns (lower-support, upper-support, lower-alive, upper-alive):
+        ``lower-support[(pl, dl)]`` lists the upper pids that can support
+        the lower placement; ``upper-support[(pu, du)]`` the lower pids a
+        given upper placement can reach; the alive maps collapse the
+        support keys to per-pid statically feasible depth sets (used to
+        restrict the initial state before the dynamic rounds).
+        """
+        store = cls._by_table.setdefault(table, {})
+        key = (upper_tag, lower_tag, child)
+        entry = store.get(key)
+        if entry is not None:
+            known_upper, known_lower, maps = entry
+            if known_upper.issuperset(upper_pids) and known_lower.issuperset(lower_pids):
+                return maps
+            known_upper.update(upper_pids)
+            known_lower.update(lower_pids)
+            maps = cls._build(
+                table, upper_tag, sorted(known_upper), lower_tag, sorted(known_lower), child
+            )
+            store[key] = (known_upper, known_lower, maps)
+            return maps
+        maps = cls._build(table, upper_tag, upper_pids, lower_tag, lower_pids, child)
+        store[key] = (set(upper_pids), set(lower_pids), maps)
+        return maps
+
+    @staticmethod
+    def _build(table, upper_tag, upper_pids, lower_tag, lower_pids, child):
+        down: Dict[Tuple[int, int], List[int]] = {}
+        up: Dict[Tuple[int, int], List[int]] = {}
+        upper_info = [
+            (pu, table.tag_depths(upper_tag, pu)) for pu in upper_pids
+        ]
+        for pl in lower_pids:
+            lower_depths = table.tag_depths(lower_tag, pl)
+            if not lower_depths:
+                continue
+            for pu, upper_depths in upper_info:
+                if (pu & pl) != pl or not upper_depths:
+                    continue
+                for dl in lower_depths:
+                    if child:
+                        supported = (dl - 1) in upper_depths
+                    else:
+                        supported = upper_depths[0] < dl  # depths sorted
+                    if supported:
+                        down.setdefault((pl, dl), []).append(pu)
+                for du in upper_depths:
+                    if child:
+                        if (du + 1) in lower_depths:
+                            up.setdefault((pu, du), []).append(pl)
+                    elif lower_depths[-1] > du:
+                        up.setdefault((pu, du), []).append(pl)
+        down_alive: Dict[int, Set[int]] = {}
+        for (pl, dl) in down:
+            down_alive.setdefault(pl, set()).add(dl)
+        up_alive: Dict[int, Set[int]] = {}
+        for (pu, du) in up:
+            up_alive.setdefault(pu, set()).add(du)
+        return (
+            {key: tuple(values) for key, values in down.items()},
+            {key: tuple(values) for key, values in up.items()},
+            down_alive,
+            up_alive,
+        )
+
+
+# ----------------------------------------------------------------------
+# Depth-consistent join (default)
+# ----------------------------------------------------------------------
+
+
+def _initial_state(
+    provider: PathStatsProvider, table: EncodingTable, tag: str
+) -> Tuple[Dict[int, float], Dict[int, Set[int]], Optional[Dict[int, Dict[int, float]]]]:
+    """Per-tag starting state of the join, cached on the provider.
+
+    When the provider exposes per-depth frequencies (the depth-refined
+    extension), the empirical depths both seed the depth sets and let the
+    join recompute frequencies as depths are pruned.
+    """
+    cache = getattr(provider, "_join_init_cache", None)
+    if cache is None:
+        cache = {}
+        try:
+            setattr(provider, "_join_init_cache", cache)
+        except AttributeError:  # provider with __slots__: skip caching
+            cache = None
+    if cache is not None:
+        cached = cache.get(tag)
+        if cached is not None:
+            return cached
+    depth_freqs: Optional[Dict[int, Dict[int, float]]] = None
+    refined = getattr(provider, "depth_frequency_map", None)
+    if refined is not None:
+        depth_freqs = refined(tag)
+    tag_freqs: Dict[int, float] = {}
+    tag_depths: Dict[int, Set[int]] = {}
+    for pid, freq in provider.frequency_pairs(tag):
+        if depth_freqs is not None:
+            empirical = depth_freqs.get(pid)
+            if empirical:
+                tag_freqs[pid] = freq
+                tag_depths[pid] = set(empirical)
+            continue
+        feasible = table.tag_depths(tag, pid)
+        if feasible:
+            tag_freqs[pid] = freq
+            tag_depths[pid] = set(feasible)
+    entry = (tag_freqs, tag_depths, depth_freqs)
+    if cache is not None:
+        cache[tag] = entry
+    return entry
+
+
+def _depth_join(
+    query: Query,
+    provider: PathStatsProvider,
+    table: EncodingTable,
+    fixpoint: bool,
+    max_rounds: int,
+    tracer=NULL_TRACER,
+    join_span=NULL_SPAN,
+) -> JoinResult:
+    nodes = query.nodes()
+    freqs: List[Dict[int, float]] = []
+    depths: List[Dict[int, Set[int]]] = []
+    dfreqs: List[Optional[Dict[int, Dict[int, float]]]] = []
+    with tracer.aggregate("pathid-match") as match_span:
+        for node in nodes:
+            node_freqs, node_depths, node_dfreqs = _initial_state(
+                provider, table, node.tag
+            )
+            # Shared references: the constraint loop replaces (never
+            # mutates) these dicts and the per-placement sets, so no
+            # defensive copy is needed.
+            freqs.append(node_freqs)
+            depths.append(node_depths)
+            dfreqs.append(node_dfreqs)
+            match_span.incr("pids_matched", len(node_freqs))
+
+    if query.root_axis is QueryAxis.CHILD:
+        root_id = query.root.node_id
+        kept = {pid: {0} for pid, ds in depths[root_id].items() if 0 in ds}
+        depths[root_id] = kept
+        freqs[root_id] = {pid: freqs[root_id][pid] for pid in kept}
+
+    constraints = derive_constraints(query)
+    # Static support maps, cached per document (see _SupportCache).
+    supports = [
+        _SupportCache.support(
+            table,
+            upper.tag,
+            list(depths[upper.node_id]),
+            lower.tag,
+            list(depths[lower.node_id]),
+            axis is Axis.CHILD,
+        )
+        for upper, axis, lower in constraints
+    ]
+    # Static restriction: drop placements with no possible support before
+    # the dynamic rounds (equivalent to the constraint's first sweep minus
+    # the dynamic checks, at a fraction of the cost).
+    for (upper, _axis, lower), maps in zip(constraints, supports):
+        _static_restrict(freqs, depths, lower.node_id, maps[2], dfreqs)
+        _static_restrict(freqs, depths, upper.node_id, maps[3], dfreqs)
+        if not freqs[upper.node_id] or not freqs[lower.node_id]:
+            return JoinResult(query, [{} for _ in nodes], [{} for _ in nodes])
+    # Forward + backward sweeps make pruning propagate both ways within
+    # one round; per-node version counters let a constraint skip when
+    # neither endpoint changed since it last ran.
+    indexed = list(zip(constraints, supports))
+    schedule = indexed + indexed[::-1] if fixpoint else indexed
+    version = [0] * len(nodes)
+    last_seen: List[Tuple[int, int]] = [(-1, -1)] * len(schedule)
+    rounds = max_rounds if fixpoint else 1
+    for _ in range(rounds):
+        join_span.incr("rounds")
+        changed = False
+        for index, ((upper, axis, lower), support) in enumerate(schedule):
+            uid, lid = upper.node_id, lower.node_id
+            if last_seen[index] == (version[uid], version[lid]):
+                continue
+            upper_changed, lower_changed = _apply_depth_constraint(
+                axis, freqs, depths, uid, lid, support, dfreqs
+            )
+            if upper_changed:
+                version[uid] += 1
+                changed = True
+            if lower_changed:
+                version[lid] += 1
+                changed = True
+            last_seen[index] = (version[uid], version[lid])
+            if not freqs[uid] or not freqs[lid]:
+                return JoinResult(query, [{} for _ in nodes], [{} for _ in nodes])
+        if not changed:
+            break
+    if any(not f for f in freqs):
+        return JoinResult(query, [{} for _ in nodes], [{} for _ in nodes])
+    return JoinResult(query, freqs, depths)
+
+
+def _node_freq(
+    pid: int,
+    kept_depths: Set[int],
+    old_freq: float,
+    node_dfreqs: Optional[Dict[int, Dict[int, float]]],
+) -> float:
+    """Frequency of one pid after depth pruning.
+
+    Plain statistics cannot split a pid's frequency across depths (the
+    paper's granularity); depth-refined statistics can.
+    """
+    if node_dfreqs is None:
+        return old_freq
+    per_depth = node_dfreqs.get(pid)
+    if per_depth is None:
+        return old_freq
+    return sum(per_depth.get(depth, 0.0) for depth in kept_depths)
+
+
+def _static_restrict(
+    freqs: List[Dict[int, float]],
+    depths: List[Dict[int, Set[int]]],
+    node_id: int,
+    alive: Dict[int, Set[int]],
+    dfreqs: List[Optional[Dict[int, Dict[int, float]]]],
+) -> None:
+    """Intersect one node's placements with a static feasibility map."""
+    current = depths[node_id]
+    restricted: Dict[int, Set[int]] = {}
+    changed = False
+    for pid, dls in current.items():
+        feasible = alive.get(pid)
+        if not feasible:
+            changed = True
+            continue
+        inter = dls & feasible
+        if inter:
+            restricted[pid] = inter
+        if len(inter) != len(dls):
+            changed = True
+    if changed:
+        depths[node_id] = restricted
+        node_dfreqs = dfreqs[node_id]
+        freqs[node_id] = {
+            pid: _node_freq(pid, kept, freqs[node_id][pid], node_dfreqs)
+            for pid, kept in restricted.items()
+        }
+
+
+def _apply_depth_constraint(
+    axis: Axis,
+    freqs: List[Dict[int, float]],
+    depths: List[Dict[int, Set[int]]],
+    upper_id: int,
+    lower_id: int,
+    support: Tuple[Dict, Dict],
+    dfreqs: List[Optional[Dict[int, Dict[int, float]]]],
+) -> Tuple[bool, bool]:
+    """Prune both sides of one constraint.
+
+    Returns (upper changed, lower changed).  ``support`` holds the static
+    placement-support maps; only dynamic membership (is the supporting
+    pid/depth still alive?) is checked here.
+    """
+    child = axis is Axis.CHILD
+    down_support, up_support = support[0], support[1]
+    upper_depths = depths[upper_id]
+    lower_depths = depths[lower_id]
+    lower_changed = False
+
+    # Lower side: (pl, dl) survives if some (pu ⊇ pl, du) supports it.
+    new_lower: Dict[int, Set[int]] = {}
+    for pl, dls in lower_depths.items():
+        kept: Set[int] = set()
+        for dl in dls:
+            for pu in down_support.get((pl, dl), ()):
+                dus = upper_depths.get(pu)
+                if dus is None:
+                    continue
+                if child:
+                    if dl - 1 in dus:
+                        kept.add(dl)
+                        break
+                elif min(dus) < dl:
+                    kept.add(dl)
+                    break
+        if kept:
+            new_lower[pl] = kept
+        if kept != dls:
+            lower_changed = True
+
+    # Upper side: (pu, du) survives if some (pl ⊆ pu, dl) is reachable.
+    upper_changed = False
+    new_upper: Dict[int, Set[int]] = {}
+    for pu, dus in upper_depths.items():
+        kept = set()
+        for du in dus:
+            for pl in up_support.get((pu, du), ()):
+                dls = new_lower.get(pl)
+                if dls is None:
+                    continue
+                if child:
+                    if du + 1 in dls:
+                        kept.add(du)
+                        break
+                elif max(dls) > du:
+                    kept.add(du)
+                    break
+        if kept:
+            new_upper[pu] = kept
+        if kept != dus:
+            upper_changed = True
+
+    if lower_changed:
+        depths[lower_id] = new_lower
+        lower_dfreqs = dfreqs[lower_id]
+        freqs[lower_id] = {
+            pid: _node_freq(pid, kept, freqs[lower_id][pid], lower_dfreqs)
+            for pid, kept in new_lower.items()
+        }
+    if upper_changed:
+        depths[upper_id] = new_upper
+        upper_dfreqs = dfreqs[upper_id]
+        freqs[upper_id] = {
+            pid: _node_freq(pid, kept, freqs[upper_id][pid], upper_dfreqs)
+            for pid, kept in new_upper.items()
+        }
+    return upper_changed, lower_changed
+
+
+# ----------------------------------------------------------------------
+# Plain pairwise join (the paper's literal reading; ablation)
+# ----------------------------------------------------------------------
+
+
+def _pairwise_join(
+    query: Query,
+    provider: PathStatsProvider,
+    table: EncodingTable,
+    fixpoint: bool,
+    max_rounds: int,
+    tracer=NULL_TRACER,
+    join_span=NULL_SPAN,
+) -> JoinResult:
+    nodes = query.nodes()
+    with tracer.aggregate("pathid-match") as match_span:
+        surviving: List[Dict[int, float]] = [
+            dict(provider.frequency_pairs(node.tag)) for node in nodes
+        ]
+        match_span.incr("pids_matched", sum(len(pids) for pids in surviving))
+    if query.root_axis is QueryAxis.CHILD:
+        root = query.root
+        surviving[root.node_id] = {
+            pid: freq
+            for pid, freq in surviving[root.node_id].items()
+            if 0 in table.tag_depths(root.tag, pid)
+        }
+    constraints = derive_constraints(query)
+    rounds = max_rounds if fixpoint else 1
+    for _ in range(rounds):
+        join_span.incr("rounds")
+        changed = False
+        for upper, axis, lower in constraints:
+            upper_pids = surviving[upper.node_id]
+            lower_pids = surviving[lower.node_id]
+            if not upper_pids or not lower_pids:
+                return JoinResult(query, [{} for _ in nodes])
+            kept_upper = {
+                pu: freq
+                for pu, freq in upper_pids.items()
+                if any(
+                    pids_compatible(table, upper.tag, pu, lower.tag, pl, axis)
+                    for pl in lower_pids
+                )
+            }
+            kept_lower = {
+                pl: freq
+                for pl, freq in lower_pids.items()
+                if any(
+                    pids_compatible(table, upper.tag, pu, lower.tag, pl, axis)
+                    for pu in kept_upper
+                )
+            }
+            if len(kept_upper) != len(upper_pids) or len(kept_lower) != len(lower_pids):
+                changed = True
+            surviving[upper.node_id] = kept_upper
+            surviving[lower.node_id] = kept_lower
+        if not changed:
+            break
+    if any(not pids for pids in surviving):
+        return JoinResult(query, [{} for _ in nodes])
+    return JoinResult(query, surviving)
