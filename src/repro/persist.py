@@ -24,7 +24,7 @@ mismatch; checksum-less snapshots (pre-1.2 writers) still load.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.reliability import integrity
 
@@ -348,7 +348,14 @@ def dumps(system: EstimationSystem, indent: Optional[int] = None) -> str:
     return json.dumps(payload, indent=indent, sort_keys=True)
 
 
-def loads(text: str) -> EstimationSystem:
+def loads(text: Union[str, bytes]) -> EstimationSystem:
+    """Load a synopsis from its JSON text, or from the file's raw UTF-8
+    bytes (bytes that are not UTF-8 are a malformed snapshot)."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise SynopsisLoadError("synopsis is not valid UTF-8: %s" % error)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
@@ -363,7 +370,7 @@ def save(system: EstimationSystem, path: str) -> None:
 
 
 def load(path: str) -> EstimationSystem:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return loads(handle.read())
 
 

@@ -4,9 +4,9 @@ The server/client tuning knobs used to travel as long positional
 parameter lists; they are now grouped into frozen dataclasses so a
 config can be built once (by the CLI, a test harness, or an embedding
 application) and handed to :func:`repro.service.serve` or
-:class:`repro.service.EndpointClient` as a single value.  Every field has
-the historical default, so ``ServerConfig()`` reproduces the pre-config
-behaviour exactly.
+:class:`repro.service.EndpointClient` as a single value.  Every
+``ServerConfig`` field defaults to its ``repro serve`` flag's default, so
+``ServerConfig()`` serves exactly as a flagless ``repro serve`` does.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ class ServerConfig:
     #: Optional TTL for semantic-cache entries, seconds (None = entries
     #: live until the next generation bump or LRU eviction).
     semcache_ttl_s: Optional[float] = None
-    reload_interval_s: float = 2.0
+    #: Seconds between snapshot freshness checks (0 = every request, as
+    #: ``repro serve --reload-interval`` defaults; a settled file costs
+    #: one ``stat`` per check).
+    reload_interval_s: float = 0.0
     max_inflight: int = 64
     request_deadline_s: Optional[float] = None
     drain_timeout_s: float = 5.0

@@ -4,12 +4,16 @@ A registry serves :class:`~repro.core.system.EstimationSystem` instances
 under stable names.  Three kinds of entry coexist:
 
 * **file-backed** — loaded from ``<snapshot_dir>/<name>.json`` via
-  :func:`repro.persist.loads`; ``get`` re-reads the file and reloads it
-  when its ``(mtime_ns, size, crc32)`` stamp changes — the content
-  checksum catches same-mtime overwrites that a stat-only stamp misses —
-  so a snapshot can be rewritten underneath a running server without a
-  restart.  A truncated, corrupt (embedded-checksum mismatch) or
-  malformed replacement never takes down the entry: the previous
+  :func:`repro.persist.loads`; ``get`` reloads it when its
+  ``(mtime_ns, size, crc32)`` content stamp changes — the checksum
+  catches same-mtime overwrites that a stat-only stamp misses — so a
+  snapshot can be rewritten underneath a running server without a
+  restart.  Hashing the whole file on every request is not needed to
+  keep that guarantee: once a file has *settled* (see
+  :class:`_FileWatch`), a check is one ``stat`` and any change to the
+  file's stat key goes back to reading and hashing the content.  A
+  truncated, corrupt (embedded-checksum mismatch), malformed or
+  non-UTF-8 replacement never takes down the entry: the previous
   **last-good** system keeps serving, the entry reports itself degraded
   (``describe()``, ``/healthz``) and ``reload_failures`` counts the
   rejected swaps.  When a staged ``<name>.kernelpack`` sits beside the
@@ -52,6 +56,10 @@ from repro.xmltree.document import XmlDocument
 from repro.xmltree.node import XmlNode
 
 SNAPSHOT_SUFFIX = ".json"
+
+#: Monotonic seconds between two content reads that must agree before a
+#: watched file is trusted on its stat key alone (see :class:`_FileWatch`).
+_SETTLE_S = 2.0
 
 
 class UnknownSynopsisError(ReproError, KeyError):
@@ -120,6 +128,8 @@ class SynopsisEntry:
         "last_check",
         "pack_stamp",
         "packed",
+        "watch",
+        "pack_watch",
     )
 
     def __init__(
@@ -134,7 +144,8 @@ class SynopsisEntry:
         self.system = system
         self.generation = 1
         self.path = path
-        # (mtime_ns, size, crc32) of the loaded snapshot file's content.
+        # (mtime_ns, size, crc32) of the loaded snapshot file's bytes
+        # (for a pack-only entry: the pack's header stamp).
         self.stamp = stamp
         self.live = live
         self.load_error: Optional[str] = None
@@ -146,6 +157,10 @@ class SynopsisEntry:
         # retried once, not on every freshness check.
         self.pack_stamp: Optional[tuple] = None
         self.packed = False
+        # Freshness state of the served file and of the pack staged
+        # beside a JSON snapshot (None for in-memory and live entries).
+        self.watch: Optional[_FileWatch] = None
+        self.pack_watch: Optional[_FileWatch] = None
 
     @property
     def source(self) -> str:
@@ -212,27 +227,115 @@ class PinnedEntry(NamedTuple):
         return self
 
 
-def _read_snapshot(path: str) -> Tuple[str, tuple]:
-    """One read of the snapshot file: its text and its content stamp.
+def _read_snapshot(path: str) -> Tuple[bytes, os.stat_result, tuple]:
+    """One content read of the snapshot file: ``(bytes, stat, stamp)``.
 
-    The stamp is ``(mtime_ns, size, crc32)``; including the content
-    checksum catches editors and build pipelines that rewrite a file
-    without advancing its mtime (coarse filesystem clocks, ``mtime``
-    restoring copies), which a stat-only stamp would miss.
+    The stamp is ``(mtime_ns, size, crc32)`` over the raw bytes;
+    including the content checksum catches editors and build pipelines
+    that rewrite a file without advancing its mtime (coarse filesystem
+    clocks, ``mtime`` restoring copies), which a stat-only stamp would
+    miss.  The stat is taken on the open handle *before* reading, so a
+    write racing the read changes the next stat key.  Nothing is
+    decoded here: only a reload that actually loads pays for that.
     """
-    faults.fire("registry.load", path)
+    with open(path, "rb") as handle:
+        status = os.fstat(handle.fileno())
+        data = handle.read()
+    return data, status, (status.st_mtime_ns, status.st_size, zlib.crc32(data))
+
+
+def _read_pack(path: str) -> Tuple[Optional[bytes], os.stat_result, tuple]:
+    """One content read of a kernelpack: its 24-byte header stamp."""
     status = os.stat(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return text, (status.st_mtime_ns, status.st_size, zlib.crc32(text.encode("utf-8")))
+    return None, status, pack_stamp(path)
+
+
+def _read_staged_pack(path: str) -> Tuple[Optional[bytes], os.stat_result, tuple]:
+    """:func:`_read_pack` for the pack beside a JSON snapshot: a header
+    that cannot be read yields a surrogate stamp from the stat, so the
+    same corrupt bytes are rejected once rather than on every check."""
+    status = os.stat(path)
+    try:
+        return None, status, pack_stamp(path)
+    except (PersistError, OSError):
+        return None, status, ("unreadable", status.st_mtime_ns, status.st_size)
+
+
+class _FileWatch:
+    """Freshness state of one watched file under the *settle rule*.
+
+    A check normally makes a *content read* (hash the snapshot bytes,
+    or read a pack's header stamp) after taking the file's stat key
+    ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)``.  Once two
+    content reads at least ``_SETTLE_S`` apart on the registry's
+    monotonic clock saw the same key and the same stamp, the file is
+    settled: a check whose key still matches returns the recorded stamp
+    from one ``stat``.  Any key change goes back to content reads.
+
+    Why that keeps every guarantee of the content stamp: user space
+    cannot set ctime (``os.utime`` itself sets it to now), so a write
+    after the second read lands in a later file-timestamp tick on any
+    filesystem with timestamps of 1 s or finer, and changes the key.  A
+    same-mtime overwrite is caught by the hash inside the window and by
+    ctime or inode after it.  Only a monotonic interval is compared —
+    never the local clock against file timestamps — so a skewed
+    file-server clock cannot break the rule.
+    """
+
+    __slots__ = ("path", "key", "stamp", "since", "settled")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.key: Optional[tuple] = None
+        self.stamp: Optional[tuple] = None
+        self.since = 0.0
+        self.settled = False
+
+    def check(
+        self,
+        now: float,
+        read: Callable[[str], Tuple[Optional[bytes], os.stat_result, tuple]],
+    ) -> Tuple[Optional[bytes], os.stat_result, tuple]:
+        """``(payload, stat, stamp)`` of the file; the payload is None
+        when the stat alone vouched for the stamp.  ``read`` is the
+        content read; its ``OSError``/``PersistError`` pass through."""
+        if self.settled:
+            status = os.stat(self.path)
+            if _stat_key(status) == self.key:
+                return None, status, self.stamp  # type: ignore[return-value]
+        payload, status, stamp = read(self.path)
+        self.saw(status, stamp, now)
+        return payload, status, stamp
+
+    def saw(self, status: os.stat_result, stamp: tuple, now: float) -> None:
+        """Record one content read (``status`` taken before it)."""
+        key = _stat_key(status)
+        if key != self.key or stamp != self.stamp:
+            self.key, self.stamp, self.since, self.settled = key, stamp, now, False
+        elif now - self.since >= _SETTLE_S:
+            self.settled = True
+
+
+def _pack_twin(json_path: str) -> str:
+    """The kernelpack path staged beside a JSON snapshot."""
+    return json_path[: -len(SNAPSHOT_SUFFIX)] + PACK_SUFFIX
+
+
+def _stat_key(status: os.stat_result) -> tuple:
+    return (
+        status.st_dev, status.st_ino, status.st_size,
+        status.st_mtime_ns, status.st_ctime_ns,
+    )
 
 
 class SynopsisRegistry:
-    """Thread-safe name → synopsis map with mtime-based hot reload.
+    """Thread-safe name → synopsis map with hot reload.
 
-    ``check_interval`` throttles the per-``get`` ``os.stat`` (0 = stat on
-    every request; a busy server may prefer ~1s).  All mutation happens
-    under one reentrant lock; estimation itself runs outside it.
+    ``check_interval`` throttles the per-``get`` freshness check (0 =
+    check on every request).  A check costs one ``stat`` per watched
+    file once the file has settled (:class:`_FileWatch`), and a content
+    read while it has not.  All mutation happens under one reentrant
+    lock; estimation itself runs outside it.
     """
 
     def __init__(
@@ -385,11 +488,15 @@ class SynopsisRegistry:
                     and entry.path.endswith(SNAPSHOT_SUFFIX)
                 ):
                     persist.save(outcome.system, entry.path)
-                    _, entry.stamp = _read_snapshot(entry.path)
+                    now = self._clock()
+                    _, status, entry.stamp = _read_snapshot(entry.path)
+                    entry.watch.saw(status, entry.stamp, now)
                     # The freshly written JSON is now newer than any
                     # staged pack, so the pack probe will (correctly)
                     # decline it until a new pack is staged.
-                    _, entry.pack_stamp = self._probe_pack(entry.path)
+                    entry.pack_stamp = self._probe_pack(
+                        entry.pack_watch, status.st_mtime_ns, now
+                    )
                 if self.on_reload is not None:
                     try:
                         self.on_reload(entry.name, entry)
@@ -553,82 +660,73 @@ class SynopsisRegistry:
             # below, so the decision cannot interleave with a swap.
             return entry
         if entry is None:
+            now = self._clock()
+            faults.fire("registry.load", path)
+            watch = _FileWatch(path)
             if path.endswith(PACK_SUFFIX):
                 # Pack-only entry: the embedded synopsis serves alone.
-                faults.fire("registry.load", path)
-                stamp = pack_stamp(path)
-                loaded = load_pack(path)
-                entry = SynopsisEntry(name, loaded.system, path=path, stamp=stamp)
-                entry.pack_stamp = stamp
-                entry.packed = True
+                _, _, stamp = watch.check(now, _read_pack)
+                system, packed = load_pack(path).system, True
+                pack_watch, pstamp = None, stamp
             else:
-                text, stamp = _read_snapshot(path)
-                system, pstamp, packed = self._load_preferring_pack(path, text)
-                entry = SynopsisEntry(name, system, path=path, stamp=stamp)
-                entry.pack_stamp = pstamp
-                entry.packed = packed
-            entry.last_check = self._clock()
+                data, status, stamp = watch.check(now, _read_snapshot)
+                pack_watch = _FileWatch(_pack_twin(path))
+                pstamp = self._probe_pack(pack_watch, status.st_mtime_ns, now)
+                system, packed = self._load_preferring_pack(path, data, pstamp)
+            entry = SynopsisEntry(name, system, path=path, stamp=stamp)
+            entry.watch, entry.pack_watch = watch, pack_watch
+            entry.pack_stamp, entry.packed = pstamp, packed
+            entry.last_check = now
             self._entries[name] = entry
             return entry
         self._maybe_reload(entry, force=True)
         return entry
 
-    def _probe_pack(self, json_path: str) -> Tuple[str, Optional[tuple]]:
-        """The pack sitting beside a JSON snapshot, if it should be used.
-
-        Returns ``(pack_path, stamp)`` with ``stamp`` None when there is
-        no usable pack (absent, or older than the JSON — a stale pack
-        must not shadow a newer snapshot).  A pack whose header cannot
-        even be read yields a surrogate stamp from its stat, so the same
-        corrupt bytes are rejected once rather than re-tried on every
-        freshness check.
-        """
-        pack_path = json_path[: -len(SNAPSHOT_SUFFIX)] + PACK_SUFFIX
+    def _probe_pack(
+        self, watch: _FileWatch, json_mtime_ns: int, now: float
+    ) -> Optional[tuple]:
+        """The stamp of the pack staged beside a JSON snapshot, or None
+        when there is no usable pack (absent, or older than the JSON — a
+        stale pack must not shadow a newer snapshot)."""
         try:
-            pack_stat = os.stat(pack_path)
+            _, status, stamp = watch.check(now, _read_staged_pack)
         except OSError:
-            return pack_path, None
-        try:
-            if pack_stat.st_mtime_ns < os.stat(json_path).st_mtime_ns:
-                return pack_path, None
-        except OSError:
-            pass  # JSON vanished; the pack is all there is
-        try:
-            return pack_path, pack_stamp(pack_path)
-        except (PersistError, OSError):
-            return pack_path, (
-                "unreadable", pack_stat.st_mtime_ns, pack_stat.st_size,
-            )
+            return None
+        return stamp if status.st_mtime_ns >= json_mtime_ns else None
 
     def _load_preferring_pack(
-        self, json_path: str, text: str
-    ) -> Tuple[EstimationSystem, Optional[tuple], bool]:
+        self, json_path: str, data: Optional[bytes], probe: Optional[tuple]
+    ) -> Tuple[EstimationSystem, bool]:
         """Load a system for a JSON-backed entry, preferring its staged
-        pack; returns ``(system, pack_stamp, packed)``.
+        pack when ``probe`` found one; returns ``(system, packed)``.
 
         A rejected pack (corrupt, truncated, version mismatch) falls back
-        to the JSON text and lazy in-process kernel compilation — the
-        pack is an accelerator, never a point of failure.
+        to the JSON snapshot and lazy in-process kernel compilation — the
+        pack is an accelerator, never a point of failure.  ``data`` is
+        None when a stat vouched for the snapshot; it is read only if
+        the JSON is actually needed.
         """
-        pack_path, probe = self._probe_pack(json_path)
         if probe is not None:
             try:
-                loaded = load_pack(pack_path)
-                return loaded.system, probe, True
+                return load_pack(_pack_twin(json_path)).system, True
             except (PersistError, OSError):
                 self.pack_failures += 1
-        return persist.loads(text), probe, False
+        if data is None:
+            data = _read_snapshot(json_path)[0]
+        return persist.loads(data), False
 
     def _maybe_reload(self, entry: SynopsisEntry, force: bool = False) -> None:
         now = self._clock()
         if not force and now - entry.last_check < self.check_interval:
             return
         entry.last_check = now
-        if entry.path is not None and entry.path.endswith(PACK_SUFFIX):
-            self._maybe_reload_pack_only(entry)
+        path: str = entry.path  # type: ignore[assignment]
+        if path.endswith(PACK_SUFFIX):
+            self._maybe_reload_pack_only(entry, now)
             return
         try:
-            text, stamp = _read_snapshot(entry.path)  # type: ignore[arg-type]
+            faults.fire("registry.load", path)
+            data, status, stamp = entry.watch.check(now, _read_snapshot)
         except OSError as error:
             # Snapshot deleted or unreadable mid-flight: keep serving the
             # last-good system, degraded.
@@ -636,35 +734,36 @@ class SynopsisRegistry:
                 self.reload_failures += 1
             entry.load_error = "snapshot unreadable: %s" % error
             return
-        _, probe = self._probe_pack(entry.path)  # type: ignore[arg-type]
+        probe = self._probe_pack(entry.pack_watch, status.st_mtime_ns, now)
         if stamp == entry.stamp and probe == entry.pack_stamp:
             # Disk matches what we serve; a transient read failure (if
             # any) is over, so the entry is healthy again.
             entry.load_error = None
             return
         try:
-            system, pstamp, packed = self._load_preferring_pack(entry.path, text)
-        except PersistError as error:
-            # Truncated, corrupt (checksum mismatch) or malformed
-            # replacement: keep the last-good system and surface the
-            # failure instead of flapping.  The JSON stamp is *not*
-            # advanced, so a fixed snapshot is picked up on the next
-            # check; the pack stamp *is*, so the same corrupt pack bytes
-            # are not re-parsed every check (a fixed pack stamps anew).
+            system, packed = self._load_preferring_pack(path, data, probe)
+        except (PersistError, OSError) as error:
+            # Truncated, corrupt (checksum mismatch), malformed or
+            # non-UTF-8 replacement: keep the last-good system and
+            # surface the failure instead of flapping.  The JSON stamp
+            # is *not* advanced, so a fixed snapshot is picked up on the
+            # next check; the pack stamp *is*, so the same corrupt pack
+            # bytes are not re-parsed every check (a fixed pack stamps
+            # anew).
             if entry.load_error is None:
                 self.reload_failures += 1
             entry.load_error = "reload failed: %s" % error
             entry.pack_stamp = probe
             return
-        self._swap(entry, system, stamp, pstamp, packed)
+        self._swap(entry, system, stamp, probe, packed)
 
-    def _maybe_reload_pack_only(self, entry: SynopsisEntry) -> None:
+    def _maybe_reload_pack_only(self, entry: SynopsisEntry, now: float) -> None:
         """Freshness check for an entry served from a pack with no JSON
         twin: the stamp is the pack's own (read from its 24-byte header,
         no full-file hash)."""
         try:
             faults.fire("registry.load", entry.path)
-            stamp = pack_stamp(entry.path)  # type: ignore[arg-type]
+            _, _, stamp = entry.watch.check(now, _read_pack)
         except (PersistError, OSError) as error:
             if entry.load_error is None:
                 self.reload_failures += 1

@@ -457,9 +457,9 @@ def load_pack(path: str, tracer=NULL_TRACER) -> LoadedPack:
 def pack_stamp(path: str) -> tuple:
     """A cheap change stamp for hot reload: ``(mtime_ns, size, crc)``.
 
-    Unlike the JSON snapshot stamp this does not hash the whole file on
-    every freshness check — the body CRC is read straight out of the
-    24-byte prologue (it changes whenever the content does).
+    Unlike the JSON snapshot stamp this never hashes the whole file —
+    the body CRC is read straight out of the 24-byte prologue (it
+    changes whenever the content does).
     """
     status = os.stat(path)
     with open(path, "rb") as handle:

@@ -147,6 +147,15 @@ class TestKeywordOnlyShims:
             ServerConfig(trace_sample_rate=1.5)
         assert ServerConfig().as_dict()["port"] == 8750
 
+    def test_server_config_defaults_match_serve_flags(self):
+        # Programmatic serve() and WorkerPool(config=ServerConfig()) must
+        # behave like a flagless `repro serve` (reload interval included).
+        from repro.cli import _server_config, build_parser
+        from repro.service import ServerConfig
+
+        args = build_parser().parse_args(["serve", "--snapshot-dir", "snaps"])
+        assert _server_config(args) == ServerConfig()
+
 
 class TestWireKinds:
     def test_every_class_maps_one_to_one(self):

@@ -136,3 +136,33 @@ class TestStampChecksum:
     def test_untouched_snapshot_does_not_reload(self, registry):
         first = registry.get("fig1")
         assert registry.get("fig1").generation == first.generation == 1
+
+
+class TestNonUtf8Snapshot:
+    """Bytes that are not UTF-8 are a malformed snapshot, not a crash."""
+
+    def test_scan_records_non_utf8_file(self, snapshot_dir):
+        (snapshot_dir / "bad.json").write_bytes(b"\xff\xfe")
+        registry = SynopsisRegistry(str(snapshot_dir))
+        assert registry.scan() == ["fig1"]
+        assert "not valid UTF-8" in registry.scan_errors["bad"]
+
+    def test_non_utf8_overwrite_keeps_last_good(self, registry, snapshot_dir):
+        path = str(snapshot_dir / "fig1.json")
+        before = registry.get("fig1")
+        baseline = before.system.estimate("//A/B")
+        with open(path, "wb") as handle:
+            handle.write(b"\xff" * 50)
+        touch_newer(path)
+
+        entry = registry.get("fig1")
+        assert entry.system.estimate("//A/B") == baseline
+        assert entry.generation == before.generation
+        assert entry.degraded
+        assert "not valid UTF-8" in entry.load_error
+        assert registry.reload_failures == 1
+
+    def test_late_non_utf8_snapshot_is_unknown(self, registry, snapshot_dir):
+        (snapshot_dir / "late.json").write_bytes(b"\xff" * 50)
+        with pytest.raises(UnknownSynopsisError):
+            registry.get("late")
